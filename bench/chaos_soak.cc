@@ -29,9 +29,9 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "net/transport.h"
 #include "tests/chaos_app.h"
-#include "util/clock.h"
 #include "windar/launcher.h"
 
 namespace {
@@ -52,17 +52,6 @@ struct Options {
   int logger_shards = 0;  // TEL/PES logger shards (0 = env/default)
   exec::ExecModel exec_model = exec::ExecModel::kAuto;
 };
-
-ProtocolKind parse_protocol(const std::string& s) {
-  if (s == "tdi") return ProtocolKind::kTdi;
-  if (s == "tdi-sparse") return ProtocolKind::kTdiSparse;
-  if (s == "tdi-d" || s == "tdi-delta") return ProtocolKind::kTdiDelta;
-  if (s == "tag") return ProtocolKind::kTag;
-  if (s == "tel") return ProtocolKind::kTel;
-  if (s == "pes") return ProtocolKind::kPes;
-  std::fprintf(stderr, "unknown protocol '%s'\n", s.c_str());
-  std::exit(2);
-}
 
 Options parse_args(int argc, char** argv) {
   Options opt;
@@ -93,16 +82,7 @@ Options parse_args(int argc, char** argv) {
         std::exit(2);
       }
     } else if (arg.rfind("--protocols=", 0) == 0) {
-      opt.protocols.clear();
-      std::string list = value("--protocols=");
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        if (end > pos) opt.protocols.push_back(parse_protocol(list.substr(pos, end - pos)));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      opt.protocols = bench::parse_protocol_list(value("--protocols="));
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       std::exit(2);
@@ -110,46 +90,6 @@ Options parse_args(int argc, char** argv) {
   }
   return opt;
 }
-
-// Hang watchdog: the main thread arms a deadline before each run; if the run
-// outlives it, the process prints the offending seed and exits.  run_job
-// cannot be cancelled from outside, so a hard exit is the only honest
-// outcome for a hung schedule — the seed on stdout is the repro.
-struct Watchdog {
-  explicit Watchdog(double timeout_ms) : timeout_ms_(timeout_ms) {
-    thread_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        const double armed = armed_at_ms_.load(std::memory_order_acquire);
-        if (armed > 0 && util::now_ms() - armed > timeout_ms_) {
-          std::printf("FAIL seed=%llu proto=%s (hang after %.0f ms)\n",
-                      static_cast<unsigned long long>(
-                          seed_.load(std::memory_order_acquire)),
-                      proto_.load(std::memory_order_acquire), timeout_ms_);
-          std::fflush(stdout);
-          std::_Exit(3);
-        }
-      }
-    });
-  }
-  ~Watchdog() {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-  }
-  void arm(std::uint64_t seed, const char* proto) {
-    seed_.store(seed, std::memory_order_release);
-    proto_.store(proto, std::memory_order_release);
-    armed_at_ms_.store(util::now_ms(), std::memory_order_release);
-  }
-  void disarm() { armed_at_ms_.store(0, std::memory_order_release); }
-
-  const double timeout_ms_;
-  std::atomic<double> armed_at_ms_{0};
-  std::atomic<std::uint64_t> seed_{0};
-  std::atomic<const char*> proto_{""};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 struct Tally {
   int runs = 0;
@@ -196,7 +136,7 @@ int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   const bool replay = opt.replay != 0;
   const bool socket = opt.transport == net::TransportKind::kSocket;
-  Watchdog watchdog(opt.timeout_ms * (socket ? 2 : 1));
+  bench::Watchdog watchdog(opt.timeout_ms * (socket ? 2 : 1));
 
   int failures = 0;
   std::printf("%-10s %-6s %-9s %-9s %-9s %-8s %s\n", "protocol", "runs",
@@ -208,7 +148,7 @@ int main(int argc, char** argv) {
       const std::uint64_t seed = replay ? opt.replay : opt.seed0 + s;
       const ChaosPlan plan = make_chaos_plan(seed);
       if (replay) std::printf("replaying %s\n", plan.describe().c_str());
-      watchdog.arm(seed, pname.c_str());
+      watchdog.arm("seed=" + std::to_string(seed) + " proto=" + pname);
       // The clean baseline is always computed in-process: the digest is a
       // pure function of the delivered values, identical on either backend,
       // and the simulated run is far cheaper than n fault-free processes.

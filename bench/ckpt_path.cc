@@ -15,6 +15,9 @@
 //
 //   ./ckpt_path [--ranks=4] [--rounds=240] [--ckpt-every=8]
 //               [--state-kb=256] [--anchor-k=8] [--json=BENCH_ckpt.json]
+//
+// Every row runs under a 60 s watchdog: a row that outlives it prints
+// "FAIL ckpt_path <row parameters> (hang after ...)" and exits 3.
 #include <cstring>
 #include <filesystem>
 
@@ -116,13 +119,23 @@ int main(int argc, char** argv) {
   JsonRows json_rows;
   JsonRows* const json = json_path.empty() ? nullptr : &json_rows;
 
+  // A healthy row takes well under a second; a minute means it hung.
+  Watchdog watchdog(60'000);
   double sync_stall = 0, async_stall = 0;
   for (const bool faulted : {false, true}) {
     for (const bool async : {false, true}) {
+      const std::string mode = async ? "async" : "sync";
+      watchdog.arm("ckpt_path mode=" + mode +
+                   " faulted=" + std::to_string(faulted ? 1 : 0) +
+                   " ranks=" + std::to_string(ranks) +
+                   " rounds=" + std::to_string(rounds) +
+                   " ckpt_every=" + std::to_string(ckpt_every) +
+                   " state_kb=" + std::to_string(state_kb) +
+                   " anchor_k=" + std::to_string(anchor_k));
       RunStats r = run_once(ranks, rounds, ckpt_every, state_kb, anchor_k,
                             async, faulted, dir);
+      watchdog.disarm();
       if (!faulted) (async ? async_stall : sync_stall) = r.stall_us_per_ckpt;
-      const std::string mode = async ? "async" : "sync";
       table.row({mode, faulted ? "kill r1" : "none", fmt(r.wall_ms, 1),
                  std::to_string(r.m.checkpoints),
                  std::to_string(r.m.ckpt_committed),

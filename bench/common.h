@@ -2,14 +2,19 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "npb/driver.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/options.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -104,15 +109,11 @@ inline bool uses_logger(ft::ProtocolKind p) {
   return p == ft::ProtocolKind::kTel || p == ft::ProtocolKind::kPes;
 }
 
-inline ft::ProtocolKind parse_protocol_name(const std::string& s) {
-  if (s == "tdi") return ft::ProtocolKind::kTdi;
-  if (s == "tdi-s" || s == "tdis") return ft::ProtocolKind::kTdiSparse;
-  if (s == "tdi-d" || s == "tdid") return ft::ProtocolKind::kTdiDelta;
-  if (s == "tag") return ft::ProtocolKind::kTag;
-  if (s == "tel") return ft::ProtocolKind::kTel;
-  if (s == "pes") return ft::ProtocolKind::kPes;
-  WINDAR_CHECK(false) << "unknown protocol '" << s << "'";
-  return ft::ProtocolKind::kTdi;
+/// ft::parse_protocol, failing loudly on an unknown name.
+inline ft::ProtocolKind protocol_or_die(const std::string& s) {
+  const auto kind = ft::parse_protocol(s);
+  WINDAR_CHECK(kind) << "unknown protocol '" << s << "'";
+  return *kind;
 }
 
 inline std::vector<ft::ProtocolKind> parse_protocol_list(
@@ -122,11 +123,59 @@ inline std::vector<ft::ProtocolKind> parse_protocol_list(
   while (pos < csv.size()) {
     std::size_t next = csv.find(',', pos);
     if (next == std::string::npos) next = csv.size();
-    if (next > pos) out.push_back(parse_protocol_name(csv.substr(pos, next - pos)));
+    if (next > pos) out.push_back(protocol_or_die(csv.substr(pos, next - pos)));
     pos = next + 1;
   }
   return out;
 }
+
+/// Hang watchdog: the main thread arms a deadline before each bench row or
+/// soak run; if the row outlives it, the process prints
+/// "FAIL <label> (hang after N ms)" and exits 3.  run_job cannot be
+/// cancelled from outside, so a hard exit is the only honest outcome for a
+/// hung row — the label on stdout names the parameters that reproduce it.
+class Watchdog {
+ public:
+  explicit Watchdog(double timeout_ms)
+      : timeout_ms_(timeout_ms), thread_([this] { watch(); }) {}
+  ~Watchdog() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  void arm(std::string label) {
+    std::scoped_lock lock(mu_);
+    label_ = std::move(label);
+    armed_at_ms_ = util::now_ms();
+  }
+  void disarm() {
+    std::scoped_lock lock(mu_);
+    armed_at_ms_ = 0;
+  }
+
+ private:
+  void watch() {
+    while (!stop_.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::scoped_lock lock(mu_);
+      if (armed_at_ms_ > 0 && util::now_ms() - armed_at_ms_ > timeout_ms_) {
+        std::printf("FAIL %s (hang after %.0f ms)\n", label_.c_str(),
+                    timeout_ms_);
+        std::fflush(stdout);
+        std::_Exit(3);
+      }
+    }
+  }
+
+  const double timeout_ms_;
+  std::mutex mu_;
+  std::string label_;       // guarded by mu_
+  double armed_at_ms_ = 0;  // guarded by mu_; 0 while disarmed
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  // last: starts after every member above exists
+};
 
 inline std::string fmt(double v, int digits = 2) {
   return util::fmt_double(v, digits);

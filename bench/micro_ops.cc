@@ -33,7 +33,8 @@ void BM_TdiOnDeliver(benchmark::State& state) {
   const Piggyback pb = sender.on_send(0, 1);
   SeqNo seq = 0;
   for (auto _ : state) {
-    p.on_deliver(1, ++seq, seq, pb.blob);
+    ++seq;
+    p.on_deliver(1, seq, seq, pb.blob);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -75,7 +76,8 @@ void BM_TagMergeDeterminants(benchmark::State& state) {
   SeqNo seq = 0;
   TagProtocol p(0, 8);
   for (auto _ : state) {
-    p.on_deliver(1, ++seq, seq, blob);
+    ++seq;
+    p.on_deliver(1, seq, seq, blob);
   }
   state.SetItemsProcessed(state.iterations() * dets);
 }

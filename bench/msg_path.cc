@@ -9,13 +9,15 @@
 // checkpoint every `ckpt-every` deliveries so CHECKPOINT_ADVANCE keeps the
 // sender log bounded (the steady-state shape of a long-running job).
 //
-//   ./msg_path [--sizes=64,4096,65536] [--msgs=0] [--protocol=TDI]
+//   ./msg_path [--sizes=64,4096,65536] [--msgs=0] [--protocol=tdi]
 //              [--ranks=2] [--shards=0] [--csv]
 //   ./msg_path --contend [--ranks=8] [--sizes=4096] [--shards=1,4]
 //   ./msg_path --transport=socket [--ranks=2] [--sizes=64,4096,65536]
 //
 // --msgs=0 picks a per-size count targeting ~32 MB of payload per run.
 // --shards selects the fabric scheduler shard count (0: default).
+// Every row runs under a 60 s watchdog: a row that outlives it prints
+// "FAIL msg_path <row parameters> (hang after ...)" and exits 3.
 //
 // --transport=socket is the A8 experiment: the same pairwise streams pushed
 // through net::SocketTransport (real AF_UNIX sockets, length-prefixed
@@ -71,14 +73,14 @@ using namespace windar::bench;
 
 namespace {
 
-ft::ProtocolKind parse_protocol(const std::string& s) {
-  for (auto k : {ft::ProtocolKind::kTdi, ft::ProtocolKind::kTag,
-                 ft::ProtocolKind::kTel, ft::ProtocolKind::kTdiSparse,
-                 ft::ProtocolKind::kPes}) {
-    if (s == to_string(k)) return k;
-  }
-  std::fprintf(stderr, "unknown protocol %s\n", s.c_str());
-  std::exit(1);
+// Wall-clock bound per row: a healthy row takes about a second, so a row
+// still running after a minute has hung or collapsed.
+constexpr double kRowBoundMs = 60'000;
+
+std::string row_label(const char* mode, int size, int msgs, int ranks) {
+  return std::string("msg_path mode=") + mode +
+         " payload_b=" + std::to_string(size) +
+         " msgs=" + std::to_string(msgs) + " ranks=" + std::to_string(ranks);
 }
 
 // Multi-sender contention sweep over shard counts: ranks/2 pairwise streams
@@ -88,7 +90,7 @@ ft::ProtocolKind parse_protocol(const std::string& s) {
 // the sweep exposes.
 void run_contention(int ranks, const std::vector<int>& sizes,
                     const std::vector<int>& shard_counts, int msgs_opt,
-                    bool csv, JsonRows* json) {
+                    bool csv, JsonRows* json, Watchdog& watchdog) {
   util::Table table({"payload B", "shards", "msgs", "wall ms", "msgs/s",
                      "MB/s", "vs first"});
   for (int size : sizes) {
@@ -102,6 +104,8 @@ void run_contention(int ranks, const std::vector<int>& sizes,
     const util::Bytes payload(static_cast<std::size_t>(size), 0x5A);
     double first_rate = 0;
     for (int shards : shard_counts) {
+      watchdog.arm(row_label("contend", size, msgs, ranks) +
+                   " shards=" + std::to_string(shards));
       const double t0 = util::now_ms();
       mp::run_raw(
           ranks,
@@ -121,6 +125,7 @@ void run_contention(int ranks, const std::vector<int>& sizes,
                                            std::chrono::nanoseconds(0)),
           /*seed=*/1, shards);
       const double wall_ms = util::now_ms() - t0;
+      watchdog.disarm();
       const double total_msgs = static_cast<double>(msgs) * (ranks / 2);
       const double rate = total_msgs / (wall_ms / 1e3);
       if (first_rate == 0) first_rate = rate;
@@ -154,7 +159,7 @@ void run_contention(int ranks, const std::vector<int>& sizes,
 // payload buffer is shared by every send; whatever the wire adds per
 // message shows up as allocs.
 void run_socket(int ranks, const std::vector<int>& sizes, int msgs_opt,
-                bool csv, JsonRows* json) {
+                bool csv, JsonRows* json, Watchdog& watchdog) {
   WINDAR_CHECK(ranks >= 2 && ranks % 2 == 0) << "--ranks must be even";
   util::Table table({"payload B", "msgs", "wall ms", "msgs/s", "MB/s",
                      "allocs/msg", "alloc B/msg", "alloc/payload"});
@@ -166,6 +171,7 @@ void run_socket(int ranks, const std::vector<int>& sizes, int msgs_opt,
             : std::max(2000, static_cast<int>((32u << 20) /
                                               static_cast<unsigned>(size) /
                                               static_cast<unsigned>(half)));
+    watchdog.arm(row_label("socket", size, msgs, ranks));
     char tmpl[] = "/tmp/windar_msgpath_XXXXXX";
     const std::string dir = ::mkdtemp(tmpl);
     std::vector<std::unique_ptr<net::SocketTransport>> nodes;
@@ -204,6 +210,7 @@ void run_socket(int ranks, const std::vector<int>& sizes, int msgs_opt,
     }
     for (auto& t : threads) t.join();
     const double wall_ms = util::now_ms() - t0;
+    watchdog.disarm();
     const double total = static_cast<double>(msgs) * half;
     const double allocs_per_msg =
         static_cast<double>(g_allocs.load() - allocs0) / total;
@@ -243,7 +250,8 @@ int main(int argc, char** argv) {
   const auto sizes = opts.int_list("sizes", {64, 4096, 65536}, "payload sizes");
   const int msgs_opt = static_cast<int>(
       opts.integer("msgs", 0, "messages per sender (0: auto)"));
-  const std::string proto_s = opts.str("protocol", "TDI", "protocol");
+  const std::string proto_s =
+      opts.str("protocol", "tdi", "tdi | tdi-s | tdi-d | tag | tel | pes");
   const int ranks = static_cast<int>(
       opts.integer("ranks", 2, "ranks (even; pairwise streams)"));
   const int ckpt_every = static_cast<int>(opts.integer(
@@ -261,7 +269,7 @@ int main(int argc, char** argv) {
       "transport", to_string(net::default_transport()),
       "sim | socket (raw AF_UNIX streams, in-process mesh)");
   opts.finish();
-  const ft::ProtocolKind protocol = parse_protocol(proto_s);
+  const ft::ProtocolKind protocol = protocol_or_die(proto_s);
   net::TransportKind transport;
   WINDAR_CHECK(net::parse_transport(transport_s, &transport))
       << "unknown transport '" << transport_s << "'";
@@ -276,12 +284,13 @@ int main(int argc, char** argv) {
     return 0;
   };
 
+  Watchdog watchdog(kRowBoundMs);
   if (transport == net::TransportKind::kSocket) {
-    run_socket(ranks, sizes, msgs_opt, csv, json);
+    run_socket(ranks, sizes, msgs_opt, csv, json, watchdog);
     return write_json();
   }
   if (contend) {
-    run_contention(ranks, sizes, shard_sweep, msgs_opt, csv, json);
+    run_contention(ranks, sizes, shard_sweep, msgs_opt, csv, json, watchdog);
     return write_json();
   }
 
@@ -304,6 +313,8 @@ int main(int argc, char** argv) {
                                                    std::chrono::nanoseconds(0));
     const util::Bytes payload(static_cast<std::size_t>(size), 0x5A);
 
+    watchdog.arm(row_label("sim", size, msgs, ranks) +
+                 " protocol=" + to_string(protocol));
     const std::uint64_t allocs0 = g_allocs.load();
     const std::uint64_t bytes0 = g_alloc_bytes.load();
     const ft::JobResult res = ft::run_job(cfg, [&](ft::Ctx& ctx) {
@@ -317,6 +328,7 @@ int main(int argc, char** argv) {
         }
       }
     });
+    watchdog.disarm();
     const double allocs_per_msg =
         static_cast<double>(g_allocs.load() - allocs0) /
         static_cast<double>(res.total.app_sent);

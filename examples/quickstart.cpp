@@ -5,40 +5,33 @@
 // the fault injector; the run completes anyway and the final token value is
 // identical to the failure-free result.
 //
-//   ./quickstart [--ranks=4] [--rounds=40] [--protocol=tdi|tag|tel]
+//   ./quickstart [--ranks=4] [--rounds=40] [--protocol=tdi|tag|tel|...]
 //                [--mode=nonblocking|blocking] [--fault-ms=-1]
 #include <atomic>
 #include <cstdio>
 
+#include "util/check.h"
 #include "util/options.h"
 #include "windar/runtime.h"
 
 using namespace windar;
 
-namespace {
-
-ft::ProtocolKind parse_protocol(const std::string& s) {
-  if (s == "tag") return ft::ProtocolKind::kTag;
-  if (s == "tel") return ft::ProtocolKind::kTel;
-  return ft::ProtocolKind::kTdi;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::Options opts(argc, argv);
   const int ranks = static_cast<int>(opts.integer("ranks", 4, "process count"));
   const int rounds = static_cast<int>(opts.integer("rounds", 40, "ring rounds"));
-  const auto protocol = parse_protocol(
-      opts.str("protocol", "tdi", "tdi | tag | tel"));
+  const std::string protocol_name =
+      opts.str("protocol", "tdi", "tdi | tdi-s | tdi-d | tag | tel | pes");
   const bool blocking = opts.str("mode", "nonblocking", "send path") == "blocking";
   const double fault_ms =
       opts.real("fault-ms", -1.0, "when to kill rank 2; <0 = auto (mid-run)");
   opts.finish();
+  const auto protocol = ft::parse_protocol(protocol_name);
+  WINDAR_CHECK(protocol) << "unknown protocol '" << protocol_name << "'";
 
   ft::JobConfig cfg;
   cfg.n = ranks;
-  cfg.protocol = protocol;
+  cfg.protocol = *protocol;
   cfg.mode = blocking ? ft::SendMode::kBlocking : ft::SendMode::kNonBlocking;
   cfg.latency = net::LatencyModel::turbulent();
 

@@ -34,15 +34,6 @@ using namespace windar;
 
 namespace {
 
-ft::ProtocolKind parse_protocol(const std::string& s) {
-  if (s == "tag") return ft::ProtocolKind::kTag;
-  if (s == "tel") return ft::ProtocolKind::kTel;
-  if (s == "pes") return ft::ProtocolKind::kPes;
-  if (s == "tdi-s" || s == "tdis") return ft::ProtocolKind::kTdiSparse;
-  if (s == "tdi-d" || s == "tdid") return ft::ProtocolKind::kTdiDelta;
-  return ft::ProtocolKind::kTdi;
-}
-
 /// Parses "rank@ms,rank@ms,..." fault schedules.
 std::vector<ft::FaultEvent> parse_faults(const std::string& s) {
   std::vector<ft::FaultEvent> out;
@@ -125,8 +116,11 @@ SimOptions parse_sim_options(int argc, char** argv) {
   SimOptions o;
   o.app = opts.str("app", "ring", "lu | bt | sp | ring | alltoall");
   o.ranks = static_cast<int>(opts.integer("ranks", 8, "process count"));
-  o.protocol = parse_protocol(
-      opts.str("protocol", "tdi", "tdi | tdi-s | tdi-d | tag | tel | pes"));
+  const std::string protocol =
+      opts.str("protocol", "tdi", "tdi | tdi-s | tdi-d | tag | tel | pes");
+  const auto kind = ft::parse_protocol(protocol);
+  WINDAR_CHECK(kind) << "unknown protocol '" << protocol << "'";
+  o.protocol = *kind;
   o.blocking =
       opts.str("mode", "nonblocking", "blocking | nonblocking") == "blocking";
   o.rounds = static_cast<int>(opts.integer("rounds", 40, "workload rounds"));

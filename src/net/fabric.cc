@@ -198,6 +198,11 @@ void Fabric::revive(EndpointId id) {
   Endpoint& ep = endpoint(id);
   ep.inbox_.revive();
   ep.alive_.store(true, std::memory_order_release);
+  // An incarnation constructed after a job shutdown (another rank's
+  // application error) must not un-poison its inbox: its receiver would
+  // never see the abort and the rank would wait forever.  Checking after the
+  // revive also covers a shutdown that races it.
+  if (shutdown_.load()) ep.inbox_.poison();
 }
 
 void Fabric::shutdown() {

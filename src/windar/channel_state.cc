@@ -61,12 +61,6 @@ std::pair<std::vector<SeqNo>, SeqNo> ChannelState::deliver_snapshot() const {
   return {last_deliver_, delivered_total_};
 }
 
-SeqNo ChannelState::deliver_snapshot_into(std::vector<SeqNo>& out) const {
-  std::scoped_lock lock(mu_);
-  out.assign(last_deliver_.begin(), last_deliver_.end());
-  return delivered_total_;
-}
-
 void ChannelState::observe_rollback(int from, std::uint32_t epoch,
                                     SeqNo their_deliver_of_mine) {
   std::scoped_lock lock(mu_);

@@ -60,13 +60,8 @@ class ChannelState {
   SeqNo last_deliver_of(int peer) const;
 
   /// Consistent snapshot of (last_deliver vector, delivered_total) — one
-  /// lock acquisition, used by the delivery scan and the ROLLBACK broadcast.
+  /// lock acquisition, used by the restore trace and ROLLBACK broadcasts.
   std::pair<std::vector<SeqNo>, SeqNo> deliver_snapshot() const;
-
-  /// Same snapshot assigned into a caller-owned vector (steady-state reuse
-  /// keeps the per-recv delivery scan allocation-free).  Returns
-  /// delivered_total.
-  SeqNo deliver_snapshot_into(std::vector<SeqNo>& out) const;
 
   // ---- recovery choreography ----
 

@@ -1,5 +1,8 @@
 #include "windar/delivery_queue.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/clock.h"
 
 namespace windar::ft {
@@ -14,7 +17,8 @@ DeliveryQueue::DeliveryQueue(const ProcessParams& params,
       gate_open_(gate_open),
       metrics_(metrics),
       pessimistic_(tracker.pessimistic()),
-      uses_event_logger_(tracker.uses_event_logger()) {}
+      uses_event_logger_(tracker.uses_event_logger()),
+      lanes_(static_cast<std::size_t>(params.n)) {}
 
 void DeliveryQueue::admit(net::Packet&& p) {
   std::scoped_lock lock(mu_);
@@ -29,10 +33,16 @@ void DeliveryQueue::admit(net::Packet&& p) {
     if (ack_enabled) hooks_.send_ack(src, idx);
     return;
   }
-  for (const QueuedMsg& q : queue_) {
-    if (q.src == src && q.send_index == idx) {
+  std::unique_ptr<Lane>& lane = lanes_[static_cast<std::size_t>(src)];
+  if (!lane) lane = std::make_unique<Lane>();
+  auto at = lane->end();
+  if (!lane->empty() && lane->back().msg.send_index >= idx) {
+    at = std::lower_bound(
+        lane->begin(), lane->end(), idx,
+        [](const Parked& q, SeqNo i) { return q.msg.send_index < i; });
+    if (at->msg.send_index == idx) {
       metrics_.update([](Metrics& m) { ++m.dup_dropped; });
-      if (ack_enabled && q.eager_acked) {
+      if (ack_enabled && at->msg.eager_acked) {
         // The original's eager ack may have gone to a sender incarnation
         // that has since died; the retransmitting incarnation is blocked on
         // this ack, so repeat it (acks are idempotent).
@@ -41,7 +51,9 @@ void DeliveryQueue::admit(net::Packet&& p) {
       return;
     }
   }
-  QueuedMsg m;
+  Parked q;
+  q.arrival = arrivals_++;
+  QueuedMsg& m = q.msg;
   m.src = src;
   m.tag = p.tag;
   m.send_index = idx;
@@ -54,38 +66,55 @@ void DeliveryQueue::admit(net::Packet&& p) {
     hooks_.send_ack(src, idx);
     m.eager_acked = true;
   }
-  queue_.push_back(std::move(m));
+  lane->insert(at, std::move(q));
+  ++parked_;
 }
 
-std::size_t DeliveryQueue::find_locked(int src, int tag) const {
-  if (!gate_open_.load(std::memory_order_acquire)) {
-    return kNpos;  // PWD protocols: determinants first
+int DeliveryQueue::find_locked(int src, int tag) const {
+  if (parked_ == 0 || !gate_open_.load(std::memory_order_acquire)) {
+    return kNone;  // nothing parked, or PWD protocols: determinants first
   }
-  // Scratch-vector snapshot: find_locked runs on every recv attempt, so the
-  // copy reuses deliver_scratch_'s capacity instead of allocating (safe:
-  // callers hold mu_, which also serializes the scratch).
-  const SeqNo delivered_total = channels_.deliver_snapshot_into(deliver_scratch_);
-  const std::vector<SeqNo>& last_deliver = deliver_scratch_;
-  return tracker_.with([&](const LoggingProtocol& proto) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const QueuedMsg& m = queue_[i];
-      if (src != mp::kAnySource && m.src != src) continue;
-      if (tag != mp::kAnyTag && m.tag != tag) continue;
-      // Per-pair FIFO (Algorithm 1 line 19).
-      if (m.send_index !=
-          last_deliver[static_cast<std::size_t>(m.src)] + 1) {
-        continue;
-      }
-      if (!proto.deliverable(m, delivered_total)) continue;
-      return i;
+  // Per-pair FIFO (Algorithm 1 line 19): only a lane front carrying the
+  // pair's next send index can be delivered.  Deliveries advance the channel
+  // counters only under mu_ (deliver_locked), so reading them one at a time
+  // is as consistent as a snapshot.
+  const auto fifo_next = [&](int s) -> const Parked* {
+    const Lane* lane = lanes_[static_cast<std::size_t>(s)].get();
+    if (!lane || lane->empty()) return nullptr;
+    const Parked& q = lane->front();
+    if (tag != mp::kAnyTag && q.msg.tag != tag) return nullptr;
+    if (q.msg.send_index != channels_.last_deliver_of(s) + 1) return nullptr;
+    return &q;
+  };
+  const SeqNo delivered_total = channels_.delivered_total();
+  const auto deliverable = [&](const Parked& q) {
+    return tracker_.with([&](const LoggingProtocol& proto) {
+      return proto.deliverable(q.msg, delivered_total);
+    });
+  };
+  if (src != mp::kAnySource) {
+    const Parked* q = fifo_next(src);
+    return q && deliverable(*q) ? src : kNone;
+  }
+  // Any source: the earliest arrival among the deliverable fronts — the
+  // message an arrival-ordered scan of the whole queue would reach first.
+  int best = kNone;
+  std::uint64_t best_arrival = std::numeric_limits<std::uint64_t>::max();
+  for (int s = 0; s < params_.n; ++s) {
+    const Parked* q = fifo_next(s);
+    if (q && q->arrival < best_arrival && deliverable(*q)) {
+      best = s;
+      best_arrival = q->arrival;
     }
-    return kNpos;
-  });
+  }
+  return best;
 }
 
-mp::Message DeliveryQueue::deliver_locked(std::size_t at, SeqNo& deliver_seq) {
-  QueuedMsg m = std::move(queue_[at]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(at));
+mp::Message DeliveryQueue::deliver_locked(int src, SeqNo& deliver_seq) {
+  Lane& lane = *lanes_[static_cast<std::size_t>(src)];
+  QueuedMsg m = std::move(lane.front().msg);
+  lane.pop_front();
+  --parked_;
 
   deliver_seq = channels_.advance_deliver(m.src);
 
@@ -134,10 +163,10 @@ mp::Message DeliveryQueue::deliver_locked(std::size_t at, SeqNo& deliver_seq) {
 mp::Message DeliveryQueue::recv_wait(int src, int tag, const LifeFlags& life) {
   std::unique_lock lock(mu_);
   while (true) {
-    const std::size_t at = find_locked(src, tag);
-    if (at != kNpos) {
+    const int from = find_locked(src, tag);
+    if (from != kNone) {
       SeqNo seq = 0;
-      mp::Message msg = deliver_locked(at, seq);
+      mp::Message msg = deliver_locked(from, seq);
       // Pessimistic logging: hold the delivery until its determinant is
       // confirmed stable (the synchronous-logging latency cost).
       while (pessimistic_ && !tracker_.with([&](const LoggingProtocol& p) {
@@ -156,38 +185,38 @@ mp::Message DeliveryQueue::recv_wait(int src, int tag, const LifeFlags& life) {
 std::optional<DeliveryQueue::Delivered> DeliveryQueue::try_deliver(int src,
                                                                    int tag) {
   std::scoped_lock lock(mu_);
-  const std::size_t at = find_locked(src, tag);
-  if (at == kNpos) return std::nullopt;
+  const int from = find_locked(src, tag);
+  if (from == kNone) return std::nullopt;
   Delivered d;
-  d.msg = deliver_locked(at, d.deliver_seq);
+  d.msg = deliver_locked(from, d.deliver_seq);
   return d;
 }
 
 bool DeliveryQueue::has_deliverable(int src, int tag) const {
   std::scoped_lock lock(mu_);
-  return find_locked(src, tag) != kNpos;
+  return find_locked(src, tag) != kNone;
 }
 
 void DeliveryQueue::notify() { cv_.notify_all(); }
 
 std::size_t DeliveryQueue::depth() const {
   std::scoped_lock lock(mu_);
-  return queue_.size();
+  return parked_;
 }
 
 std::string DeliveryQueue::debug_string() const {
   std::scoped_lock lock(mu_);
-  std::string out = "queueB=" + std::to_string(queue_.size()) + " [";
-  for (const QueuedMsg& m : queue_) {
-    out += " (" + std::to_string(m.src) + "#" +
-           std::to_string(m.send_index) + " t" + std::to_string(m.tag) + ")";
-    if (out.size() > 300) {
-      out += " ...";
-      break;
+  std::string out = "queueB=" + std::to_string(parked_) + " [";
+  for (const auto& lane : lanes_) {
+    if (!lane) continue;
+    for (const Parked& q : *lane) {
+      out += " (" + std::to_string(q.msg.src) + "#" +
+             std::to_string(q.msg.send_index) + " t" +
+             std::to_string(q.msg.tag) + ")";
+      if (out.size() > 300) return out + " ... ]";
     }
   }
-  out += " ]";
-  return out;
+  return out + " ]";
 }
 
 }  // namespace windar::ft

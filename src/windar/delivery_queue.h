@@ -7,9 +7,16 @@
 // `gate_open` flag closes the whole queue (nothing may be delivered until
 // replay knowledge is complete).
 //
+// Queue B is one lane per source, sorted by send_index.  Per-pair FIFO means
+// only a lane's front can be the next delivery from its source, so the
+// duplicate filter is a binary search (an in-order arrival is an append) and
+// the delivery gate looks at lane fronts only — never at the backlog behind
+// them.  Lanes are created on a source's first message: most rank pairs of a
+// large job never talk.
+//
 // Lock architecture: the queue's mutex serializes `admit` (handler thread)
 // against the find/deliver path (application thread) — both the
-// duplicate-of-queued scan and the pop/counter-advance must be atomic with
+// duplicate-of-queued lookup and the pop/counter-advance must be atomic with
 // respect to each other, or a racing duplicate could be parked forever.  The
 // condition variable carries application-thread wakeups (new arrivals,
 // gather completion, stability advances); waits are bounded by kTick so a
@@ -20,6 +27,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -81,8 +89,9 @@ class DeliveryQueue {
   std::string debug_string() const;
 
  private:
-  std::size_t find_locked(int src, int tag) const;
-  mp::Message deliver_locked(std::size_t at, SeqNo& deliver_seq);
+  /// Source whose lane front is deliverable to recv(src, tag), or kNone.
+  int find_locked(int src, int tag) const;
+  mp::Message deliver_locked(int src, SeqNo& deliver_seq);
 
   const ProcessParams& params_;
   ChannelState& channels_;
@@ -99,12 +108,17 @@ class DeliveryQueue {
   // either kind.  Waits stay bounded by kTick, so the missed-notify story is
   // unchanged from the condition_variable version.
   util::WaitSet cv_;
-  std::deque<QueuedMsg> queue_;
-  // Reused by find_locked's channel snapshot (guarded by mu_; mutable because
-  // the find path is const).
-  mutable std::vector<SeqNo> deliver_scratch_;
 
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  struct Parked {
+    std::uint64_t arrival = 0;  // admit order: kAnySource takes the earliest
+    QueuedMsg msg;
+  };
+  using Lane = std::deque<Parked>;  // sorted by send_index, no duplicates
+  std::vector<std::unique_ptr<Lane>> lanes_;  // by source; null until used
+  std::size_t parked_ = 0;
+  std::uint64_t arrivals_ = 0;
+
+  static constexpr int kNone = -1;
   static constexpr std::chrono::microseconds kTick{2000};
 };
 

@@ -53,17 +53,6 @@ const char* protocol_token(ProtocolKind k) {
   return "tdi";
 }
 
-ProtocolKind parse_protocol_token(const std::string& s) {
-  if (s == "tdi") return ProtocolKind::kTdi;
-  if (s == "tag") return ProtocolKind::kTag;
-  if (s == "tel") return ProtocolKind::kTel;
-  if (s == "tdi-s" || s == "tdis") return ProtocolKind::kTdiSparse;
-  if (s == "tdi-d" || s == "tdid") return ProtocolKind::kTdiDelta;
-  if (s == "pes") return ProtocolKind::kPes;
-  WINDAR_CHECK(false) << "unknown protocol '" << s << "'";
-  return ProtocolKind::kTdi;
-}
-
 std::vector<std::uint64_t> split_u64(const std::string& s, char sep) {
   std::vector<std::uint64_t> out;
   std::size_t pos = 0;
@@ -178,7 +167,9 @@ WorkerConfig WorkerConfig::parse(int argc, char** argv) {
     } else if (val(a, "--windar-dir=", &v)) {
       cfg.dir = v;
     } else if (val(a, "--windar-protocol=", &v)) {
-      cfg.protocol = parse_protocol_token(v);
+      const auto kind = parse_protocol(v);
+      WINDAR_CHECK(kind) << "unknown protocol '" << v << "'";
+      cfg.protocol = *kind;
     } else if (val(a, "--windar-mode=", &v)) {
       cfg.mode = v == "blocking" ? SendMode::kBlocking
                                  : SendMode::kNonBlocking;

@@ -167,6 +167,8 @@ void Process::send(int dst, int tag, std::span<const std::uint8_t> payload) {
 
 mp::Message Process::recv(int src, int tag) {
   life_.throw_if_dead();
+  WINDAR_CHECK(src == mp::kAnySource || (src >= 0 && src < params_.n))
+      << "recv from bad rank " << src;
   breadcrumb("recv src", src, tag);
   if (params_.mode == SendMode::kNonBlocking) {
     return delivery_.recv_wait(src, tag, life_);
@@ -190,6 +192,8 @@ mp::Message Process::recv(int src, int tag) {
 
 bool Process::probe(int src, int tag) {
   life_.throw_if_dead();
+  WINDAR_CHECK(src == mp::kAnySource || (src >= 0 && src < params_.n))
+      << "probe of bad rank " << src;
   if (params_.mode == SendMode::kBlocking) {
     // Single-threaded: opportunistically drain already-arrived packets.
     while (auto p = transport_.endpoint(params_.rank).inbox().try_pop()) {

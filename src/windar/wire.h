@@ -6,9 +6,12 @@
 // here, so header layout lives in exactly one place.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/packet.h"
@@ -82,6 +85,28 @@ inline std::string to_string(ProtocolKind k) {
     case ProtocolKind::kTdiDelta: return "TDI-D";
   }
   return "?";
+}
+
+/// The one protocol-name parser: the argv tokens (tdi, tdi-s, tdi-d, tag,
+/// tel, pes), their aliases (tdis, tdi-sparse, tdid, tdi-delta) and the
+/// to_string spellings, case-insensitively.  nullopt for any other name, so
+/// callers reject a typo instead of running a default protocol.
+inline std::optional<ProtocolKind> parse_protocol(std::string_view name) {
+  std::string s(name);
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (s == "tdi") return ProtocolKind::kTdi;
+  if (s == "tdi-s" || s == "tdis" || s == "tdi-sparse") {
+    return ProtocolKind::kTdiSparse;
+  }
+  if (s == "tdi-d" || s == "tdid" || s == "tdi-delta") {
+    return ProtocolKind::kTdiDelta;
+  }
+  if (s == "tag") return ProtocolKind::kTag;
+  if (s == "tel") return ProtocolKind::kTel;
+  if (s == "pes") return ProtocolKind::kPes;
+  return std::nullopt;
 }
 
 inline std::string to_string(SendMode m) {

@@ -232,6 +232,13 @@ TEST(Scheduler, BlockingQueueThreadToTask) {
       ASSERT_TRUE(q.push(i));
       if (i % 10 == 0) std::this_thread::sleep_for(1ms);
     }
+    // Poison discards items still queued, so wait for the fiber to drain
+    // them first.  A fiber that is never woken leaves items behind until the
+    // deadline and fails the sum below.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!q.empty() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(100us);
+    }
     q.poison();
   });
   producer.join();

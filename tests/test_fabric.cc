@@ -146,6 +146,10 @@ TEST(Fabric, ShutdownPoisonsEndpoints) {
   f.shutdown();
   EXPECT_FALSE(f.endpoint(0).inbox().pop().has_value());
   f.shutdown();  // idempotent
+  // A rank whose Process is built after the shutdown revives its endpoint;
+  // it must stay poisoned so the rank unwinds instead of waiting forever.
+  f.revive(1);
+  EXPECT_TRUE(f.endpoint(1).inbox().poisoned());
 }
 
 TEST(Fabric, SendAfterShutdownIsDropped) {

@@ -136,6 +136,16 @@ TEST(Runtime, BadFaultRankAborts) {
                "bad rank");
 }
 
+TEST(Runtime, RecvFromBadRankAborts) {
+  // Queue B indexes its lanes by source: an out-of-range source is rejected
+  // loudly instead of waiting forever for a rank that does not exist.
+  EXPECT_DEATH((void)run_job(base(2),
+                             [](Ctx& ctx) {
+                               if (ctx.rank() == 0) (void)ctx.recv(5, 0);
+                             }),
+               "recv from bad rank");
+}
+
 TEST(Runtime, ZeroRanksRejected) {
   JobConfig cfg = base(0);
   EXPECT_DEATH((void)run_job(cfg, [](Ctx&) {}), "at least one rank");

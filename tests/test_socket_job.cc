@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 
 #include "chaos_app.h"
+#include "util/wait.h"
 #include "windar/launcher.h"
 
 namespace windar::ft {
@@ -74,7 +76,11 @@ TEST(SocketJob, CleanJobFabricStatsBalance) {
 }
 
 TEST(SocketJob, WallClockSigkillConverges) {
+  // Rank 0 holds its first send for 200 ms, so no rank can finish the ring
+  // before then and the 10 ms SIGKILL of rank 1 always lands mid-job (a
+  // 12-iteration ring alone can finish before the kill fires).
   LaunchSpec spec = base_spec(4, ProtocolKind::kTdi);
+  spec.worker_args.push_back("--hold-ms=200");
   spec.job.faults = {{1, 10.0}};
   const MultiProcResult r = run_multiproc_job(spec);
   ASSERT_TRUE(r.ok) << r.error;
@@ -134,13 +140,19 @@ int main(int argc, char** argv) {
         windar::ft::WorkerConfig::parse(argc, argv);
     int iters = 12;
     int ckpt = 4;
+    int hold_ms = 0;  // rank 0 sleeps this long before the ring starts
     for (const std::string& a : cfg.app_args) {
       if (a.rfind("--iters=", 0) == 0) iters = std::atoi(a.c_str() + 8);
       if (a.rfind("--ckpt=", 0) == 0) ckpt = std::atoi(a.c_str() + 7);
+      if (a.rfind("--hold-ms=", 0) == 0) hold_ms = std::atoi(a.c_str() + 10);
     }
-    return windar::ft::run_worker(cfg, [iters, ckpt](windar::ft::Ctx& ctx) {
-      return windar::ft::chaos::ring_digest_rank(ctx, iters, ckpt);
-    });
+    return windar::ft::run_worker(
+        cfg, [iters, ckpt, hold_ms](windar::ft::Ctx& ctx) {
+          if (ctx.rank() == 0 && hold_ms > 0) {
+            windar::util::coop_sleep_for(std::chrono::milliseconds(hold_ms));
+          }
+          return windar::ft::chaos::ring_digest_rank(ctx, iters, ckpt);
+        });
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -205,6 +205,13 @@ TEST(TdiDelta, FactoryProducesDeltaKind) {
   auto p = make_protocol(ProtocolKind::kTdiDelta, 0, 3);
   EXPECT_EQ(p->kind(), ProtocolKind::kTdiDelta);
   EXPECT_EQ(std::string(to_string(p->kind())), "TDI-D");
+  for (const char* name : {"tdi-d", "tdid", "tdi-delta", "TDI-D"}) {
+    EXPECT_EQ(parse_protocol(name), ProtocolKind::kTdiDelta) << name;
+  }
+  EXPECT_EQ(parse_protocol("tdi-s"), ProtocolKind::kTdiSparse);
+  EXPECT_EQ(parse_protocol("tdi-sparse"), ProtocolKind::kTdiSparse);
+  EXPECT_EQ(parse_protocol("pes"), ProtocolKind::kPes);
+  EXPECT_EQ(parse_protocol("tdi-x"), std::nullopt);  // typo: no fallback
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +275,9 @@ TEST(TdiDeltaJournal, JournalStaysBoundedUnderSustainedChurn) {
       // Live channel: steady sends keep the base recent, so compaction can
       // always find a trim point without forcing resyncs here.
       const Piggyback pb = p.on_send(1, ++sent);
-      if (sent > 1) EXPECT_FALSE(pb.resync);
+      if (sent > 1) {
+        EXPECT_FALSE(pb.resync);
+      }
     }
   }
   EXPECT_LE(p.journal_size_for_test(), cap);
