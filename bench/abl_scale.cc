@@ -16,9 +16,16 @@
 // --det-rank-cap (their piggyback would dominate the wall clock); the skip
 // is logged, never silent.
 //
+// Each row runs under a bench::Watchdog (a row that outlives kRowBoundMs
+// prints "FAIL <row> (hang after N ms)" and exits 3) and reports the process's
+// peak RSS so far (getrusage ru_maxrss).  The peak only ever rises, so for a
+// clean per-scale memory figure run one --ranks value per process.
+//
 //   ./abl_scale [--ranks=4,8,16,24,32,48] [--rounds=30]
 //               [--protocols=tdi,tag,tel] [--exec=auto]
 //               [--json=BENCH_scale.json]
+#include <sys/resource.h>
+
 #include "bench/common.h"
 #include "mp/comm.h"
 
@@ -39,6 +46,17 @@ void ring_shuffle_app(ft::Ctx& ctx, int rounds) {
     mp::send_value(ctx, to, round, me * 1000 + round);
     (void)mp::recv_value<int>(ctx, from, round);
   }
+}
+
+// Generous enough for dense TDI at 4096 ranks (93 s on a 1-CPU host); a
+// hung row is what it exists to catch.
+constexpr double kRowBoundMs = 300'000;
+
+/// Peak resident set of this process so far, in MiB (Linux reports KiB).
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 }  // namespace
@@ -71,8 +89,9 @@ int main(int argc, char** argv) {
 
   util::Table table({"ranks", "protocol", "wall ms", "msgs", "msgs/s",
                      "idents/msg", "bytes/msg", "pb ratio",
-                     "idents/msg per rank"});
+                     "idents/msg per rank", "peak rss MB"});
   JsonRows json;
+  Watchdog watchdog(kRowBoundMs);
 
   for (int n : ranks) {
     for (auto proto : protocols) {
@@ -89,8 +108,12 @@ int main(int argc, char** argv) {
       cfg.latency = bench_latency();
       cfg.exec_model = exec_model;
       cfg.logger_shards = logger_shards;
+      watchdog.arm("abl_scale ranks=" + std::to_string(n) + " protocol=" +
+                   to_string(proto) + " exec=" + ename);
       auto result =
           ft::run_job(cfg, [&](ft::Ctx& ctx) { ring_shuffle_app(ctx, rounds); });
+      watchdog.disarm();
+      const double rss_mb = peak_rss_mb();
       const ft::Metrics& m = result.total;
       const double bytes_per_msg =
           m.app_sent ? static_cast<double>(m.piggyback_bytes) /
@@ -104,7 +127,7 @@ int main(int argc, char** argv) {
                  fmt(result.wall_ms, 1), std::to_string(m.app_sent),
                  fmt(msgs_per_s, 0), fmt(m.avg_piggyback_idents()),
                  fmt(bytes_per_msg), fmt(m.piggyback_compression(), 3),
-                 fmt(m.avg_piggyback_idents() / n, 3)});
+                 fmt(m.avg_piggyback_idents() / n, 3), fmt(rss_mb, 0)});
       json.field("ranks", n)
           .field("protocol", std::string(to_string(proto)))
           .field("wall_ms", result.wall_ms)
@@ -124,6 +147,7 @@ int main(int argc, char** argv) {
                                   static_cast<double>(m.app_sent)
                             : 0.0)
           .field("recoveries", m.recoveries)
+          .field("peak_rss_mb", rss_mb)
           .end_row();
     }
   }

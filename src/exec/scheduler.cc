@@ -382,7 +382,11 @@ Scheduler::Scheduler(int workers) : core_(std::make_shared<Core>()) {
         if (core->timers.empty()) {
           core->cv.wait(lock);
         } else {
-          core->cv.wait_until(lock, core->timers.top().deadline);
+          // Copy the deadline: wait_until holds its argument by reference
+          // across the unlocked wait, while another worker may push onto
+          // (and reallocate) the timer heap.
+          const auto deadline = core->timers.top().deadline;
+          core->cv.wait_until(lock, deadline);
         }
       }
       detail::t_worker_ctx = nullptr;
@@ -417,11 +421,14 @@ void Scheduler::run_task_on_worker(detail::Core* core, detail::FiberCtx* wctx,
   }
 
   // The task switched out through park_until and is in kParking (or already
-  // kNotified if an unpark raced it).
+  // kNotified if an unpark raced it).  Read the park parameters first: once
+  // the CAS to kParked lands, an unpark may requeue the task on another
+  // worker, which then writes the next park's deadline.
+  const auto deadline = task->park_deadline;
+  const std::uint64_t seq = task->park_seq.load(std::memory_order_acquire);
   State expected = State::kParking;
   if (task->state.compare_exchange_strong(expected, State::kParked,
                                           std::memory_order_acq_rel)) {
-    const auto deadline = task->park_deadline;
     if (deadline <= Clock::now()) {
       // yield / already-expired wait: requeue without touching the timers.
       State parked = State::kParked;
@@ -430,7 +437,6 @@ void Scheduler::run_task_on_worker(detail::Core* core, detail::FiberCtx* wctx,
         core->push_ready(std::move(task));
       }
     } else if (deadline != Clock::time_point::max()) {
-      const std::uint64_t seq = task->park_seq.load(std::memory_order_acquire);
       {
         std::scoped_lock lock(core->mu);
         core->timers.push(detail::TimerEntry{deadline, seq, std::move(task)});
@@ -459,6 +465,10 @@ Scheduler::~Scheduler() {
   }
   core_->cv.notify_all();
   for (std::thread& t : core_->threads) t.join();
+  // A timer entry outlives its wait when the task was unparked early; it
+  // still owns the (finished) task, which owns the core.  Break that cycle.
+  std::scoped_lock lock(core_->mu);
+  core_->timers = {};
 }
 
 TaskHandle Scheduler::spawn(std::function<void()> fn, std::size_t stack_bytes) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -22,6 +23,34 @@
 namespace windar::util {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Little-endian bulk copies between u32 words and bytes (one memcpy on a
+/// little-endian host).
+inline void store_u32s(std::uint8_t* out, std::span<const std::uint32_t> v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v.empty()) std::memcpy(out, v.data(), 4 * v.size());
+  } else {
+    for (std::uint32_t x : v) {
+      for (int i = 0; i < 4; ++i) {
+        *out++ = static_cast<std::uint8_t>(x >> (8 * i));
+      }
+    }
+  }
+}
+
+inline void load_u32s(std::span<std::uint32_t> out, const std::uint8_t* in) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) std::memcpy(out.data(), in, 4 * out.size());
+  } else {
+    for (std::uint32_t& x : out) {
+      x = static_cast<std::uint32_t>(in[0]) |
+          (static_cast<std::uint32_t>(in[1]) << 8) |
+          (static_cast<std::uint32_t>(in[2]) << 16) |
+          (static_cast<std::uint32_t>(in[3]) << 24);
+      in += 4;
+    }
+  }
+}
 
 /// Appends little-endian fixed-width values to a byte vector.
 class ByteWriter {
@@ -64,9 +93,15 @@ class ByteWriter {
   }
 
   /// Length-prefixed vector of u32 (the shape of a depend_interval vector).
+  /// Reserves the whole section once and writes the words in bulk: a fresh
+  /// writer encoding an n-entry vector makes exactly one allocation of
+  /// 4 + 4n bytes.
   void u32_vec(std::span<const std::uint32_t> v) {
+    ensure(4 + 4 * v.size());
     u32(static_cast<std::uint32_t>(v.size()));
-    for (auto x : v) u32(x);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + 4 * v.size());
+    store_u32s(buf_.data() + at, v);
   }
 
   void u64_vec(std::span<const std::uint64_t> v) {
@@ -146,9 +181,8 @@ class ByteReader {
     // a multi-gigabyte reserve.
     WINDAR_CHECK_LE(std::size_t{n} * sizeof(std::uint32_t), remaining())
         << "ByteReader underflow";
-    std::vector<std::uint32_t> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) out.push_back(u32());
+    std::vector<std::uint32_t> out(n);
+    load_u32s(out, raw(std::size_t{n} * sizeof(std::uint32_t)).data());
     return out;
   }
 

@@ -11,8 +11,7 @@ ChannelState::ChannelState(int n, int rank)
       last_deliver_(static_cast<std::size_t>(n), 0),
       last_ckpt_deliver_(static_cast<std::size_t>(n), 0),
       rollback_last_send_(static_cast<std::size_t>(n), 0),
-      peer_epoch_(static_cast<std::size_t>(n), 0),
-      acked_(static_cast<std::size_t>(n)) {}
+      peer_epoch_(static_cast<std::size_t>(n), 0) {}
 
 SeqNo ChannelState::next_send_index(int dst) {
   std::scoped_lock lock(mu_);
@@ -26,13 +25,14 @@ bool ChannelState::should_suppress(int dst, SeqNo idx) const {
 
 void ChannelState::record_ack(int from, SeqNo idx) {
   std::scoped_lock lock(mu_);
-  acked_[static_cast<std::size_t>(from)].add(idx);
+  acked_[from].add(idx);
 }
 
 bool ChannelState::is_acked(int dst, SeqNo idx) const {
   std::scoped_lock lock(mu_);
-  return acked_[static_cast<std::size_t>(dst)].contains(idx) ||
-         rollback_last_send_[static_cast<std::size_t>(dst)] >= idx;
+  if (rollback_last_send_[static_cast<std::size_t>(dst)] >= idx) return true;
+  const auto it = acked_.find(dst);
+  return it != acked_.end() && it->second.contains(idx);
 }
 
 bool ChannelState::already_delivered(int src, SeqNo idx) const {

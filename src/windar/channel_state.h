@@ -7,7 +7,9 @@
 //   * the rolling-forward suppression watermark rollback_last_send_index
 //     (Algorithm 1 line 10) together with the peer-incarnation epoch that
 //     guards it, and
-//   * the set of send indices each peer has acknowledged (blocking sends).
+//   * the set of send indices each peer has acknowledged (blocking sends;
+//     kept only for peers that acked something, so a non-blocking job or an
+//     idle peer costs nothing here).
 //
 // This is the ground truth that duplicate filtering, FIFO delivery, send
 // suppression and checkpoint log release all consult.  Internally
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -115,7 +118,7 @@ class ChannelState {
   std::vector<SeqNo> last_ckpt_deliver_;
   std::vector<SeqNo> rollback_last_send_;
   std::vector<std::uint32_t> peer_epoch_;  // highest incarnation seen per peer
-  std::vector<SeqSet> acked_;  // per-destination accepted send indices
+  std::unordered_map<int, SeqSet> acked_;  // destination -> accepted indices
   SeqNo delivered_total_ = 0;
 };
 

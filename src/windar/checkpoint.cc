@@ -298,13 +298,14 @@ util::Bytes encode_full(const SealedCheckpoint& img) {
 }
 
 util::Bytes encode_delta(const SealedCheckpoint& img,
-                         const SealedCheckpoint& base) {
+                         const SealedCheckpoint& base,
+                         std::uint64_t base_hash) {
   util::ByteWriter w;
   w.u32(kMagic);
   w.u8(kKindDelta);
   w.u64(img.ckpt_seq);
   w.u64(base.ckpt_seq);
-  w.u64(image_hash(base));
+  w.u64(base_hash);
   write_counters(w, img);  // counters are tiny: always literal
   write_delta_section(w, base.app, img.app);
   write_delta_section(w, base.proto, img.proto);
@@ -450,6 +451,7 @@ bool CheckpointStore::save_sealed(int rank, SealedCheckpoint image) {
   // delta base.  Copying the base SealedCheckpoint is refcount bumps on its
   // section buffers plus two counter vectors — no byte copies.
   SealedCheckpoint base;
+  std::uint64_t base_hash = 0;
   bool use_delta = false;
   {
     std::unique_lock lock(mu_);
@@ -459,12 +461,19 @@ bool CheckpointStore::save_sealed(int rank, SealedCheckpoint image) {
     use_delta = anchor_every_ > 1 && st.committed &&
                 image.ckpt_seq > st.image.ckpt_seq &&
                 st.since_anchor + 1 < anchor_every_;
-    if (use_delta) base = st.image;
+    if (use_delta) {
+      base = st.image;
+      base_hash = st.hash;
+    }
   }
 
-  // Phase 2 (unlocked): serialize and durably write.  Other ranks' saves and
-  // every load/has/stats proceed concurrently.
-  util::Bytes blob = use_delta ? ckptwire::encode_delta(image, base)
+  // Phase 2 (unlocked): hash, serialize and durably write.  Other ranks'
+  // saves and every load/has/stats proceed concurrently.  The image is hashed
+  // exactly once, here, and only when a later commit may name it as a delta
+  // base.
+  const std::uint64_t hash =
+      anchor_every_ > 1 ? ckptwire::image_hash(image) : 0;
+  util::Bytes blob = use_delta ? ckptwire::encode_delta(image, base, base_hash)
                                : ckptwire::encode_full(image);
   if (pre_commit_ && pre_commit_(rank) == CommitAction::kDrop) {
     // Simulated kill between seal and fsync: nothing was published, nothing
@@ -502,7 +511,7 @@ bool CheckpointStore::save_sealed(int rank, SealedCheckpoint image) {
       ++stats_.full_saves;
       st.since_anchor = 0;
     }
-    st.hash = ckptwire::image_hash(image);
+    st.hash = hash;
     st.image = std::move(image);
     st.committed = true;
     st.in_flight = false;

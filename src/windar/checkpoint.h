@@ -94,8 +94,11 @@ namespace ckptwire {
 std::uint64_t image_hash(const SealedCheckpoint& img);
 
 util::Bytes encode_full(const SealedCheckpoint& img);
+/// `base_hash` is image_hash(base); the store passes the hash it computed
+/// when it committed `base` instead of hashing the base a second time.
 util::Bytes encode_delta(const SealedCheckpoint& img,
-                         const SealedCheckpoint& base);
+                         const SealedCheckpoint& base,
+                         std::uint64_t base_hash);
 
 bool is_delta(std::span<const std::uint8_t> blob);
 std::uint64_t blob_seq(std::span<const std::uint8_t> blob);
@@ -177,7 +180,7 @@ class CheckpointStore {
   struct RankState {
     bool committed = false;      // at least one image committed
     SealedCheckpoint image;      // last committed image (delta base)
-    std::uint64_t hash = 0;      // image_hash(image)
+    std::uint64_t hash = 0;      // image_hash(image); 0 when deltas are off
     std::size_t since_anchor = 0;
     bool in_flight = false;      // a save for this rank is serializing/writing
   };

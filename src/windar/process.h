@@ -82,6 +82,9 @@ class Process {
   /// fabric.kill(rank) to drop volatile network state.  Thread-safe.
   void poison();
 
+  /// Throws Killed (or JobAborted) once this incarnation has been poisoned.
+  void throw_if_dead() const { life_.throw_if_dead(); }
+
   /// After the rank function returns, keep serving control traffic
   /// (rollbacks from recovering peers, log releases) until the whole job is
   /// done.  Called on the application thread.

@@ -175,12 +175,17 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
         // peer Process is still alive (running or parked), and the commit
         // lands in this incarnation's metrics.  A chaos kill can still fire
         // here — the queued commits either complete (sends from a dead rank
-        // drop harmlessly) and park() below throws the pending Killed.
+        // drop harmlessly) and the check below throws the pending Killed.
         proc->drain_checkpoints();
         {
           // fn_done flips under slot.mu so the injector's check-and-kill is
-          // atomic against completion: a finished rank is never killed.
+          // atomic against completion: a finished rank is never killed.  A
+          // kill that landed after the function's last engine call (so
+          // nothing inside it threw) is recovered like any other: counting
+          // this incarnation done would let the peers finish and leave
+          // while the next incarnation still needs their resends.
           std::scoped_lock lock(slot.mu);
+          proc->throw_if_dead();
           slot.fn_done = true;
         }
         if (done_count.fetch_add(1) + 1 == config.n) {
@@ -198,47 +203,11 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
         }
         return;
       } catch (const Killed&) {
-        slot.phase = "killed-metrics";
-        {
-          std::scoped_lock lock(slot.acc_mu);
-          slot.acc.merge(proc->metrics());
-        }
-        {
-          std::scoped_lock lock(slot.mu);
-          slot.proc.reset();
-        }
-        slot.phase = "killed-dtor";
-        proc.reset();  // joins this incarnation's helper threads
-        slot.phase = "killed-sleep";
-        if (job_failed.load(std::memory_order_acquire)) return;
-        const std::uint64_t revive_target =
-            slot.revive_at_packets.exchange(0, std::memory_order_acq_rel);
-        if (revive_target > 0) {
-          // Event-keyed restart: stay down until the fabric delivered the
-          // scheduled amount of further traffic.  If traffic quiesces (every
-          // survivor is blocked on us) waiting longer is pointless — resume
-          // once the delivered count stalls.
-          std::uint64_t last = fabric.stats().packets_delivered;
-          int stalled_polls = 0;
-          while (last < revive_target && stalled_polls < 100 &&
-                 !all_done.load(std::memory_order_acquire) &&
-                 !job_failed.load(std::memory_order_acquire)) {
-            util::coop_sleep_for(std::chrono::microseconds(200));
-            const std::uint64_t now = fabric.stats().packets_delivered;
-            stalled_polls = now == last ? stalled_polls + 1 : 0;
-            last = now;
-          }
-        } else {
-          // Failure detection + spare-node takeover latency.
-          util::coop_sleep_for(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::duration<double, std::milli>(
-                      config.restart_delay_ms)));
-        }
-        if (job_failed.load(std::memory_order_acquire)) return;
-        recovering = true;
-        ++incarnation;
-        continue;
+        // Handled below, outside the handler.  Recovery parks (joining the
+        // helper fibers, sleeping out the restart delay), and under kCoop a
+        // parked fiber may resume on another worker thread; the C++ runtime
+        // keeps its caught-exception stack per thread, so a handler that
+        // spans a park leaks the exception object and corrupts that stack.
       } catch (const JobAborted&) {
         {
           std::scoped_lock lock(slot.mu);
@@ -253,6 +222,47 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
         }
         return;
       }
+      // Killed: every other exit from the try block returned.
+      slot.phase = "killed-metrics";
+      {
+        std::scoped_lock lock(slot.acc_mu);
+        slot.acc.merge(proc->metrics());
+      }
+      {
+        std::scoped_lock lock(slot.mu);
+        slot.proc.reset();
+      }
+      slot.phase = "killed-dtor";
+      proc.reset();  // joins this incarnation's helper threads
+      slot.phase = "killed-sleep";
+      if (job_failed.load(std::memory_order_acquire)) return;
+      const std::uint64_t revive_target =
+          slot.revive_at_packets.exchange(0, std::memory_order_acq_rel);
+      if (revive_target > 0) {
+        // Event-keyed restart: stay down until the fabric delivered the
+        // scheduled amount of further traffic.  If traffic quiesces (every
+        // survivor is blocked on us) waiting longer is pointless — resume
+        // once the delivered count stalls.
+        std::uint64_t last = fabric.stats().packets_delivered;
+        int stalled_polls = 0;
+        while (last < revive_target && stalled_polls < 100 &&
+               !all_done.load(std::memory_order_acquire) &&
+               !job_failed.load(std::memory_order_acquire)) {
+          util::coop_sleep_for(std::chrono::microseconds(200));
+          const std::uint64_t now = fabric.stats().packets_delivered;
+          stalled_polls = now == last ? stalled_polls + 1 : 0;
+          last = now;
+        }
+      } else {
+        // Failure detection + spare-node takeover latency.
+        util::coop_sleep_for(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::duration<double, std::milli>(
+                    config.restart_delay_ms)));
+      }
+      if (job_failed.load(std::memory_order_acquire)) return;
+      recovering = true;
+      ++incarnation;
     }
   };
 

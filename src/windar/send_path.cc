@@ -68,7 +68,7 @@ void SendPath::pause_channel(int dst) {
 void SendPath::resume_channel(int dst) {
   paused_[static_cast<std::size_t>(dst)].store(false,
                                                std::memory_order_release);
-  std::deque<net::Packet> flush;
+  std::vector<net::Packet> flush;
   {
     std::scoped_lock lock(hb_mu_);
     flush.swap(holdback_[static_cast<std::size_t>(dst)]);

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -123,9 +122,11 @@ class SendPath {
   // on every send without a lock; hb_mu_ guards the queues themselves and is
   // a leaf (taken from the app thread in send_app and the dispatch thread in
   // resume_channel, never while holding another engine lock on this side).
+  // A queue is only filled and then swapped out whole, so a plain vector
+  // serves: an empty one costs no allocation for the peers that never replay.
   std::vector<std::atomic<bool>> paused_;
   std::mutex hb_mu_;
-  std::vector<std::deque<net::Packet>> holdback_;
+  std::vector<std::vector<net::Packet>> holdback_;
   std::thread recv_thread_;
   std::thread send_thread_;
   exec::TaskHandle recv_task_;  // fiber-mode counterparts of the threads

@@ -6,6 +6,8 @@
 
 namespace windar::ft {
 
+SenderLog::~SenderLog() { clear_locked(); }
+
 SenderLog::Totals SenderLog::append(int dst, LogEntry entry) {
   std::scoped_lock lock(mu_);
   append_locked(dst, std::move(entry));
@@ -18,10 +20,17 @@ void SenderLog::append_locked(int dst, LogEntry entry) {
       << "sender log indices must increase (dst=" << dst << ")";
   d.last_index = entry.send_index;
   d.has_last = true;
-  if (d.chunks.empty() || d.chunks.back()->end == kChunkEntries) {
-    d.chunks.push_back(chunk_pool_.acquire());
+  if (d.tail == nullptr || d.tail->end == kChunkEntries) {
+    std::unique_ptr<Chunk> fresh = chunk_pool_.acquire();
+    Chunk* raw = fresh.get();
+    if (d.tail == nullptr) {
+      d.head = std::move(fresh);
+    } else {
+      d.tail->next = std::move(fresh);
+    }
+    d.tail = raw;
   }
-  Chunk& c = *d.chunks.back();
+  Chunk& c = *d.tail;
   bytes_ += entry.bytes();
   ++entries_;
   ++d.count;
@@ -32,8 +41,8 @@ std::size_t SenderLog::release_upto(int dst, SeqNo upto) {
   std::scoped_lock lock(mu_);
   DstLog& d = per_dst_[static_cast<std::size_t>(dst)];
   std::size_t released = 0;
-  while (!d.chunks.empty()) {
-    Chunk& c = *d.chunks.front();
+  while (d.head != nullptr) {
+    Chunk& c = *d.head;
     while (c.begin < c.end && c.slots[c.begin].send_index <= upto) {
       bytes_ -= c.slots[c.begin].bytes();
       // Reset now, not at recycle time: the entry's Buffer refs (and any
@@ -47,20 +56,23 @@ std::size_t SenderLog::release_upto(int dst, SeqNo upto) {
       ++released;
     }
     if (c.begin < c.end) break;  // front chunk still holds newer entries
-    if (c.end < kChunkEntries && d.chunks.size() == 1) {
+    if (c.end < kChunkEntries && d.head.get() == d.tail) {
       // The back chunk with spare slots: keep it so the next append lands
       // without a pool round-trip.
       break;
     }
-    recycle_locked(std::move(d.chunks.front()));
-    d.chunks.pop_front();
+    pop_front_locked(d);
   }
   return released;
 }
 
-void SenderLog::recycle_locked(std::unique_ptr<Chunk> chunk) {
-  // Live slots were reset as begin advanced; [end, kChunkEntries) was never
-  // written this round.  Rewind the cursors and hand it back.
+void SenderLog::pop_front_locked(DstLog& d) {
+  std::unique_ptr<Chunk> chunk = std::move(d.head);
+  d.head = std::move(chunk->next);
+  if (d.head == nullptr) d.tail = nullptr;
+  // Live slots were reset as begin advanced (or by clear_locked);
+  // [end, kChunkEntries) was never written this round.  Rewind the cursors
+  // and hand it back.
   chunk->begin = 0;
   chunk->end = 0;
   chunk_pool_.release(std::move(chunk));
@@ -71,9 +83,9 @@ void SenderLog::save(util::ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(per_dst_.size()));
   for (const DstLog& d : per_dst_) {
     w.u32(static_cast<std::uint32_t>(d.count));
-    for (const auto& chunk : d.chunks) {
-      for (std::size_t i = chunk->begin; i < chunk->end; ++i) {
-        const LogEntry& e = chunk->slots[i];
+    for (const Chunk* c = d.head.get(); c != nullptr; c = c->next.get()) {
+      for (std::size_t i = c->begin; i < c->end; ++i) {
+        const LogEntry& e = c->slots[i];
         w.u32(e.send_index);
         w.i32(e.tag);
         w.bytes(e.meta.span());
@@ -89,9 +101,9 @@ std::vector<std::vector<LogEntry>> SenderLog::seal() const {
   for (std::size_t d = 0; d < per_dst_.size(); ++d) {
     const DstLog& dst = per_dst_[d];
     out[d].reserve(dst.count);
-    for (const auto& chunk : dst.chunks) {
-      for (std::size_t i = chunk->begin; i < chunk->end; ++i) {
-        out[d].push_back(chunk->slots[i]);  // Buffer copies: refcount bumps
+    for (const Chunk* c = dst.head.get(); c != nullptr; c = c->next.get()) {
+      for (std::size_t i = c->begin; i < c->end; ++i) {
+        out[d].push_back(c->slots[i]);  // Buffer copies: refcount bumps
       }
     }
   }
@@ -140,11 +152,10 @@ void SenderLog::clear() {
 
 void SenderLog::clear_locked() {
   for (DstLog& d : per_dst_) {
-    while (!d.chunks.empty()) {
-      Chunk& c = *d.chunks.front();
+    while (d.head != nullptr) {
+      Chunk& c = *d.head;
       for (std::size_t i = c.begin; i < c.end; ++i) c.slots[i] = LogEntry{};
-      recycle_locked(std::move(d.chunks.front()));
-      d.chunks.pop_front();
+      pop_front_locked(d);
     }
     d.count = 0;
     d.has_last = false;

@@ -14,7 +14,10 @@
 // drawn from a typed free list (util::Pool), so steady-state append traffic
 // costs one pooled-chunk draw per 32 sends instead of a container
 // reallocation per send, and a chunk fully drained by CHECKPOINT_ADVANCE
-// goes back on the free list for the next burst.  append() returns the log's
+// goes back on the free list for the next burst.  The chunks of one
+// destination form an intrusive singly linked list, so a destination that is
+// never sent to costs its 32 B list head and no heap allocation — an n-rank
+// job does not pay n² containers up front.  append() returns the log's
 // running totals so the send path books its metrics without re-taking the
 // log lock.
 //
@@ -24,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -61,6 +63,7 @@ class SenderLog {
   };
 
   explicit SenderLog(int n) : per_dst_(static_cast<std::size_t>(n)) {}
+  ~SenderLog();
 
   /// Appends an entry for `dst`; send_index values per destination must be
   /// strictly increasing (they are per-pair counters).  Returns the log's
@@ -77,9 +80,10 @@ class SenderLog {
   template <typename F>
   void for_each_from(int dst, SeqNo from, F&& f) const {
     std::scoped_lock lock(mu_);
-    for (const auto& chunk : per_dst_[static_cast<std::size_t>(dst)].chunks) {
-      for (std::size_t i = chunk->begin; i < chunk->end; ++i) {
-        const LogEntry& e = chunk->slots[i];
+    for (const Chunk* c = per_dst_[static_cast<std::size_t>(dst)].head.get();
+         c != nullptr; c = c->next.get()) {
+      for (std::size_t i = c->begin; i < c->end; ++i) {
+        const LogEntry& e = c->slots[i];
         if (e.send_index > from) f(e);
       }
     }
@@ -101,7 +105,12 @@ class SenderLog {
   // ---- chunk-pool observability (tests) ----
   std::size_t chunks_for(int dst) const {
     std::scoped_lock lock(mu_);
-    return per_dst_[static_cast<std::size_t>(dst)].chunks.size();
+    std::size_t count = 0;
+    for (const Chunk* c = per_dst_[static_cast<std::size_t>(dst)].head.get();
+         c != nullptr; c = c->next.get()) {
+      ++count;
+    }
+    return count;
   }
   std::uint64_t chunks_created() const { return chunk_pool_.created(); }
   std::uint64_t chunks_recycled() const { return chunk_pool_.recycled(); }
@@ -127,20 +136,28 @@ class SenderLog {
   // A chunk's live entries occupy [begin, end); release_upto advances begin
   // (resetting slots so buffer refs drop immediately), append advances the
   // back chunk's end.  Non-back chunks are always full (end == kChunkEntries).
+  // `next` links a destination's chunks oldest first; it is null while the
+  // chunk sits in the pool.
   struct Chunk {
     std::array<LogEntry, kChunkEntries> slots;
     std::size_t begin = 0;
     std::size_t end = 0;
+    std::unique_ptr<Chunk> next;
   };
+  // Chunks in ascending send_index: pop at `head`, append at `tail`.  Lists
+  // are only ever unlinked one chunk at a time (pop_front_locked), never by
+  // the recursive unique_ptr destructor, so a long log cannot overflow a
+  // small fiber stack.
   struct DstLog {
-    std::deque<std::unique_ptr<Chunk>> chunks;  // ascending send_index
-    std::size_t count = 0;                      // live entries across chunks
-    SeqNo last_index = 0;  // strictly-increasing guard survives full drains
+    std::unique_ptr<Chunk> head;
+    Chunk* tail = nullptr;
+    std::uint32_t count = 0;  // live entries across chunks
+    SeqNo last_index = 0;     // strictly-increasing guard survives full drains
     bool has_last = false;
   };
 
   void append_locked(int dst, LogEntry entry);
-  void recycle_locked(std::unique_ptr<Chunk> chunk);
+  void pop_front_locked(DstLog& d);
   void clear_locked();
 
   mutable std::mutex mu_;

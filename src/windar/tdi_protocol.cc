@@ -201,20 +201,24 @@ std::vector<SeqNo> TdiProtocol::decode(std::span<const std::uint8_t> meta,
 
 void TdiProtocol::decode_into(std::span<const std::uint8_t> meta, int n,
                               std::vector<SeqNo>& out) {
+  // One bounds check per section (ByteReader::raw), then bulk reads.
   util::ByteReader r(meta);
   const std::uint32_t head = r.u32();
-  out.assign(static_cast<std::size_t>(n), 0);
   if ((head & (kSparseMarker | kDeltaMarker)) == 0) {
     WINDAR_CHECK_EQ(head, static_cast<std::uint32_t>(n))
         << "depend_interval width mismatch";
-    for (auto& v : out) v = r.u32();
-  } else {
-    const std::uint32_t npairs = head & ~(kSparseMarker | kDeltaMarker);
-    for (std::uint32_t i = 0; i < npairs; ++i) {
-      const std::uint32_t idx = r.u32();
-      WINDAR_CHECK_LT(idx, static_cast<std::uint32_t>(n)) << "bad pair idx";
-      out[idx] = r.u32();
-    }
+    out.resize(static_cast<std::size_t>(n));
+    util::load_u32s(out, r.raw(4 * std::size_t{head}).data());
+    return;
+  }
+  out.assign(static_cast<std::size_t>(n), 0);
+  const std::uint32_t npairs = head & ~(kSparseMarker | kDeltaMarker);
+  const std::uint8_t* p = r.raw(8 * std::size_t{npairs}).data();
+  for (std::uint32_t i = 0; i < npairs; ++i, p += 8) {
+    std::uint32_t pair[2];
+    util::load_u32s(pair, p);
+    WINDAR_CHECK_LT(pair[0], static_cast<std::uint32_t>(n)) << "bad pair idx";
+    out[pair[0]] = pair[1];
   }
 }
 

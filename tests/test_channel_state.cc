@@ -44,6 +44,17 @@ TEST(ChannelState, AckTrackingAndWatermarkBothRelease) {
   EXPECT_FALSE(cs.is_acked(1, 6));
 }
 
+TEST(ChannelState, OutOfOrderAcksArePerPeer) {
+  ChannelState cs(4096, 0);
+  cs.record_ack(5, 2);
+  EXPECT_FALSE(cs.is_acked(5, 1));
+  EXPECT_TRUE(cs.is_acked(5, 2));
+  cs.record_ack(5, 1);
+  EXPECT_TRUE(cs.is_acked(5, 1));
+  EXPECT_FALSE(cs.is_acked(5, 3));
+  EXPECT_FALSE(cs.is_acked(6, 1));  // another peer's set is untouched
+}
+
 TEST(ChannelState, RollbackOverwritesWatermarkOnSameOrNewerEpoch) {
   ChannelState cs(2, 0);
   cs.observe_response(1, 1, 10);  // incarnation 1 confirmed 10 deliveries

@@ -190,7 +190,8 @@ TEST(CkptDelta, AppliedDeltaEqualsFullImage) {
   next.app = util::Buffer(std::move(app));
   next.delivered_total = 99;
 
-  const util::Bytes delta = ckptwire::encode_delta(next, base);
+  const util::Bytes delta =
+      ckptwire::encode_delta(next, base, ckptwire::image_hash(base));
   const util::Bytes full = ckptwire::encode_full(next);
   ASSERT_TRUE(ckptwire::is_delta(delta));
   ASSERT_FALSE(ckptwire::is_delta(full));
@@ -211,7 +212,8 @@ TEST(CkptDelta, RejectsForeignBase) {
   const SealedCheckpoint base = big_sealed(1);
   SealedCheckpoint next = big_sealed(2);
   next.delivered_total = 50;
-  const util::Bytes delta = ckptwire::encode_delta(next, base);
+  const util::Bytes delta =
+      ckptwire::encode_delta(next, base, ckptwire::image_hash(base));
 
   SealedCheckpoint impostor = big_sealed(1);  // same seq, different content
   util::Bytes app = impostor.app.to_vector();
@@ -235,7 +237,8 @@ TEST(CkptDelta, TruncatedBlobsFailSoftAtEveryCut) {
 
   const util::Bytes full = ckptwire::encode_full(next);
   ASSERT_TRUE(ckptwire::try_decode_full(full).has_value());
-  const util::Bytes delta = ckptwire::encode_delta(next, base);
+  const util::Bytes delta =
+      ckptwire::encode_delta(next, base, ckptwire::image_hash(base));
   ASSERT_TRUE(ckptwire::apply_delta(delta, base).has_value());
 
   for (std::size_t cut = 0; cut < full.size(); cut += 7) {

@@ -92,7 +92,10 @@ TEST(Process, EagerAckReleasesQuickly) {
 
 TEST(Process, SuppressionCountsDuringRollForward) {
   JobConfig cfg = base(2);
-  cfg.faults = {{0, 6.0}};
+  // Kill rank 0 on its 15th delivery: past its checkpoint at i == 10, so
+  // rolling forward re-executes sends rank 1 already delivered, however fast
+  // or slow the host runs.
+  cfg.chaos = {kill_on_delivery(0, 15)};
   auto result = run_job(cfg, [](Ctx& ctx) {
     const int peer = 1 - ctx.rank();
     int start = 0;

@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "mp/collectives.h"
+#include "util/wait.h"
 #include "windar/runtime.h"
 
 namespace windar::ft {
@@ -58,6 +59,51 @@ TEST(RecoveryEdge, FaultDuringAllreduceSeries) {
   long long expect = 0;
   for (int round = 0; round < 25; ++round) expect += 10 + 5 * round;
   EXPECT_EQ(sums->load(), expect);
+}
+
+TEST(RecoveryEdge, KillAfterLastEngineCallStillRecovers) {
+  // Rank 0 is killed after its last engine call, while it computes before
+  // returning: nothing inside its rank function observes the kill, so the
+  // function returns normally.  The supervisor must still recover it.
+  // Counting the rank done instead loses the kill when it finishes last (as
+  // here), and strands its next incarnation when a peer finishes after it:
+  // that peer sees the job done and leaves before sending its RESPONSE.
+  JobConfig cfg = base(2);
+  // No jitter, so the farewell cannot overtake the last echo: rank 0's
+  // endpoint receives 6 echoes, then the farewell, which is the kill.
+  cfg.latency = net::LatencyModel::deterministic(
+      std::chrono::nanoseconds(1'000), std::chrono::nanoseconds(0));
+  cfg.chaos = {kill_on_delivery(0, 7)};
+  const JobResult result = run_job(cfg, [](Ctx& ctx) {
+    const int peer = 1 - ctx.rank();
+    int start = 0;
+    if (ctx.restored()) {
+      util::ByteReader r(*ctx.restored());
+      start = r.i32();
+    }
+    for (int i = start; i < 6; ++i) {
+      if (ctx.rank() == 0) {
+        if (i == 2 && !ctx.restored()) {
+          util::ByteWriter w;
+          w.i32(i);
+          ctx.checkpoint(w.view());
+        }
+        send_value(ctx, peer, 0, i);
+        EXPECT_EQ(recv_value<int>(ctx, peer, 0), i);
+      } else {
+        send_value(ctx, peer, 0, recv_value<int>(ctx, peer, 0));
+      }
+    }
+    if (ctx.rank() == 0) {
+      // Local work after the last exchange; the farewell arrives meanwhile.
+      util::coop_sleep_for(std::chrono::milliseconds(30));
+    } else if (!ctx.restored()) {
+      // Let rank 0 get past its last receive before the farewell kills it.
+      util::coop_sleep_for(std::chrono::milliseconds(5));
+      send_value(ctx, peer, 1, -1);  // farewell, never received
+    }
+  });
+  EXPECT_EQ(result.total.recoveries, 1u);
 }
 
 TEST(RecoveryEdge, BlockedSenderSurvivesReceiverDeath) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "net/fabric.h"
 #include "windar/send_path.h"
@@ -130,6 +131,54 @@ TEST(SendPath, PauseResumeRaceStrandsNoPackets) {
   // Every send either went out directly or was flushed by a resume; none
   // may remain stranded in a swapped-out holdback queue.
   EXPECT_EQ(m.app_transmitted, kSends);
+}
+
+// Sequence numbers of everything rank 1's inbox receives within 50 ms.
+std::vector<std::uint64_t> drain_seqs(Harness& h) {
+  std::vector<std::uint64_t> seqs;
+  while (auto p = h.fabric.endpoint(1).inbox().pop_until(
+             std::chrono::steady_clock::now() +
+             std::chrono::milliseconds(50))) {
+    seqs.push_back(p->seq);
+  }
+  return seqs;
+}
+
+TEST(SendPath, HoldbackParksThenFlushesInOrder) {
+  Harness h;
+  const util::Bytes payload{7};
+  h.path.pause_channel(1);
+  for (int i = 0; i < 5; ++i) h.path.send_app(1, 0, payload);
+  EXPECT_EQ(h.metrics.snapshot().held_sends, 5u);
+  EXPECT_EQ(h.fabric.stats().packets_sent, 0u);
+
+  h.path.resume_channel(1);
+  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(h.metrics.snapshot().app_transmitted, 5u);
+
+  // A second pause reuses the emptied queue; a RESPONSE that raised the
+  // watermark meanwhile suppresses the covered packets at flush time.
+  h.path.pause_channel(1);
+  for (int i = 0; i < 3; ++i) h.path.send_app(1, 0, payload);  // seqs 6..8
+  h.channels.observe_response(1, 0, 7);
+  h.path.resume_channel(1);
+  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{8}));
+  const Metrics m = h.metrics.snapshot();
+  EXPECT_EQ(m.suppressed_sends, 2u);
+  EXPECT_EQ(m.app_transmitted, 6u);
+  EXPECT_EQ(h.log.entries_for(1), 8u);  // every send stays logged
+}
+
+TEST(SendPath, HoldbackOverflowTransmitsDirectly) {
+  Harness h;
+  h.params.holdback_cap = 2;
+  const util::Bytes payload{7};
+  h.path.pause_channel(1);
+  for (int i = 0; i < 4; ++i) h.path.send_app(1, 0, payload);
+  EXPECT_EQ(h.metrics.snapshot().held_sends, 2u);
+  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{3, 4}));
+  h.path.resume_channel(1);
+  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(SendPath, BlockingSendPumpsOwnInboxUntilAcked) {

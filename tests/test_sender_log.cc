@@ -1,6 +1,9 @@
 // Tests for the sender-based message log.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "windar/sender_log.h"
 
 namespace windar::ft {
@@ -13,6 +16,13 @@ LogEntry entry(SeqNo idx, std::size_t payload = 4) {
   e.meta = {1, 2};
   e.payload = util::Buffer(util::Bytes(payload, 0xEE));
   return e;
+}
+
+std::vector<SeqNo> indices(const SenderLog& log, int dst, SeqNo from = 0) {
+  std::vector<SeqNo> out;
+  log.for_each_from(dst, from,
+                    [&](const LogEntry& e) { out.push_back(e.send_index); });
+  return out;
 }
 
 TEST(SenderLog, AppendAndIterate) {
@@ -184,6 +194,66 @@ TEST(SenderLog, SaveRestoreRoundTripAcrossChunkBoundaries) {
     EXPECT_EQ(e.payload.size(), static_cast<std::size_t>(e.send_index % 5) + 1);
   });
   EXPECT_EQ(n1, 100u);
+}
+
+TEST(SenderLog, ChunkListRecyclesAcrossReleaseUpto) {
+  SenderLog log(3);
+  for (SeqNo i = 1; i <= 100; ++i) log.append(1, entry(i));  // 4 chunks
+  EXPECT_EQ(log.chunks_for(1), 4u);
+  const std::uint64_t created = log.chunks_created();
+
+  // Drop the two oldest chunks and half of the third.
+  EXPECT_EQ(log.release_upto(1, 80), 80u);
+  EXPECT_EQ(log.chunks_for(1), 2u);
+  EXPECT_EQ(log.chunks_free(), 2u);
+  EXPECT_EQ(indices(log, 1, 90).front(), 91u);
+  EXPECT_EQ(indices(log, 1).size(), 20u);
+
+  // The next burst (on another destination) reuses the freed chunks.
+  for (SeqNo i = 1; i <= 64; ++i) log.append(2, entry(i));
+  EXPECT_EQ(log.chunks_created(), created);
+  EXPECT_EQ(log.chunks_free(), 0u);
+
+  // A full drain returns every chunk but the partly filled tail; appends
+  // then land in that tail, and the per-destination index guard survives.
+  EXPECT_EQ(log.release_upto(1, 100), 20u);
+  EXPECT_EQ(log.chunks_for(1), 1u);
+  log.append(1, entry(101));
+  EXPECT_EQ(indices(log, 1), (std::vector<SeqNo>{101}));
+  EXPECT_DEATH(log.append(1, entry(101)), "increase");
+}
+
+TEST(SenderLog, SealMatchesSaveAndRestoreKeepsIdleDestinationsEmpty) {
+  SenderLog log(4);
+  for (SeqNo i = 1; i <= 70; ++i) log.append(0, entry(i, i % 3 + 1));
+  for (SeqNo i = 1; i <= 33; ++i) log.append(3, entry(i));
+  log.release_upto(0, 40);
+
+  util::ByteWriter w;
+  log.save(w);
+  const util::Bytes blob = w.take();
+  util::ByteWriter ws;
+  SenderLog::serialize_sealed(log.seal(), ws);
+  EXPECT_EQ(ws.take(), blob);  // the async seal emits save()'s exact form
+
+  SenderLog copy(4);
+  util::ByteReader r(blob);
+  copy.restore(r);
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_EQ(indices(copy, d), indices(log, d)) << "dst " << d;
+  }
+  EXPECT_EQ(copy.chunks_for(1), 0u);  // idle destinations stay empty
+  EXPECT_EQ(copy.chunks_for(3), 2u);
+  EXPECT_EQ(copy.bytes(), log.bytes());
+}
+
+TEST(SenderLog, LongChunkListTearsDownIteratively) {
+  // Thousands of chunks on one destination: clear() and the destructor
+  // unlink them one at a time instead of recursing through the list.
+  auto log = std::make_unique<SenderLog>(2);
+  for (SeqNo i = 1; i <= 200'000; ++i) log->append(1, entry(i, 0));
+  EXPECT_EQ(log->chunks_for(1), 200'000u / SenderLog::kChunkEntries);
+  log.reset();
 }
 
 }  // namespace
