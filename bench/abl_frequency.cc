@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
       cfg.n = ranks;
       cfg.protocol = proto;
       cfg.latency = bench_latency();
-      auto result = ft::run_job(cfg, [&](ft::Ctx& ctx) {
+      const std::string label = "gap_us=" + std::to_string(gap_us) +
+                                " protocol=" + to_string(proto);
+      auto result = bounded_run_job(cfg, label, [&](ft::Ctx& ctx) {
         const int n = ctx.size();
         const int right = (ctx.rank() + 1) % n;
         const int left = (ctx.rank() + n - 1) % n;

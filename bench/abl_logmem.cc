@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     cfg.n = ranks;
     cfg.protocol = ft::ProtocolKind::kTdi;
     cfg.latency = bench_latency();
-    auto result = ft::run_job(cfg, [&](ft::Ctx& ctx) {
+    const std::string label = "ckpt_every=" + std::to_string(every);
+    auto result = bounded_run_job(cfg, label, [&](ft::Ctx& ctx) {
       const int n = ctx.size();
       const int me = ctx.rank();
       const int peer = me ^ 1;  // pairwise partners

@@ -75,11 +75,15 @@ int main(int argc, char** argv) {
       cfg.latency = bench_latency();
       cfg.seed = 1 + static_cast<std::uint64_t>(rep);
       cfg.restart_delay_ms = 5;
-      auto clean = ft::run_job(cfg, [&](ft::Ctx& c) { fanin_app(c, rounds); });
+      const std::string label = "protocol=" + to_string(proto) +
+                                " seed=" + std::to_string(cfg.seed);
+      auto clean = bounded_run_job(cfg, label + " clean",
+                                   [&](ft::Ctx& c) { fanin_app(c, rounds); });
       clean_ms.add(clean.wall_ms);
 
       cfg.faults = {{0, clean.wall_ms * 0.6}};
-      auto faulted = ft::run_job(cfg, [&](ft::Ctx& c) { fanin_app(c, rounds); });
+      auto faulted = bounded_run_job(cfg, label + " faulted",
+                                     [&](ft::Ctx& c) { fanin_app(c, rounds); });
       faulted_ms.add(faulted.wall_ms);
       resent += faulted.total.resent_msgs;
       dups += faulted.total.dup_dropped;

@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
       cfg.protocol = variant == 0 ? ft::ProtocolKind::kTdi
                                   : ft::ProtocolKind::kTdiSparse;
       cfg.latency = bench_latency();
-      auto result = ft::run_job(cfg, [&](ft::Ctx& ctx) {
+      const std::string label = "app=ring ranks=" + std::to_string(n) +
+                                " protocol=" + to_string(cfg.protocol);
+      auto result = bounded_run_job(cfg, label, [&](ft::Ctx& ctx) {
         const int right = (ctx.rank() + 1) % ctx.size();
         const int left = (ctx.rank() + ctx.size() - 1) % ctx.size();
         for (int round = 0; round < 40; ++round) {

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "npb/driver.h"
@@ -31,6 +32,75 @@ inline net::LatencyModel bench_latency() {
   m.per_byte = std::chrono::nanoseconds(8);
   m.jitter = std::chrono::nanoseconds(20'000);
   return m;
+}
+
+/// Hang watchdog: the main thread arms a deadline before each bench row or
+/// soak run; if the row outlives it, the process prints
+/// "FAIL <label> (hang after N ms)" and exits 3.  run_job cannot be
+/// cancelled from outside, so a hard exit is the only honest outcome for a
+/// hung row — the label on stdout names the parameters that reproduce it.
+class Watchdog {
+ public:
+  explicit Watchdog(double timeout_ms)
+      : timeout_ms_(timeout_ms), thread_([this] { watch(); }) {}
+  ~Watchdog() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  void arm(std::string label) {
+    std::scoped_lock lock(mu_);
+    label_ = std::move(label);
+    armed_at_ms_ = util::now_ms();
+  }
+  void disarm() {
+    std::scoped_lock lock(mu_);
+    armed_at_ms_ = 0;
+  }
+
+ private:
+  void watch() {
+    while (!stop_.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::scoped_lock lock(mu_);
+      if (armed_at_ms_ > 0 && util::now_ms() - armed_at_ms_ > timeout_ms_) {
+        std::printf("FAIL %s (hang after %.0f ms)\n", label_.c_str(),
+                    timeout_ms_);
+        std::fflush(stdout);
+        std::_Exit(3);
+      }
+    }
+  }
+
+  const double timeout_ms_;
+  std::mutex mu_;
+  std::string label_;       // guarded by mu_
+  double armed_at_ms_ = 0;  // guarded by mu_; 0 while disarmed
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  // last: starts after every member above exists
+};
+
+/// Wall-clock bound on one figure or ablation row (run_npb_job,
+/// bounded_run_job).
+constexpr double kFigureRowBoundMs = 300'000;
+
+/// The per-process watchdog behind run_npb_job and bounded_run_job.
+inline Watchdog& figure_row_watchdog() {
+  static Watchdog watchdog(kFigureRowBoundMs);
+  return watchdog;
+}
+
+/// ft::run_job with figure_row_watchdog() armed: a row that hangs prints
+/// "FAIL <label> (hang after N ms)" and exits 3.
+template <typename Fn>
+ft::JobResult bounded_run_job(const ft::JobConfig& cfg, std::string label,
+                              Fn&& fn) {
+  figure_row_watchdog().arm(std::move(label));
+  ft::JobResult result = ft::run_job(cfg, std::forward<Fn>(fn));
+  figure_row_watchdog().disarm();
+  return result;
 }
 
 struct NpbJob {
@@ -67,7 +137,15 @@ inline NpbOutcome run_npb_job(const NpbJob& job) {
   cfg.restart_delay_ms = 5;
   auto checksum = std::make_shared<std::atomic<double>>(0.0);
   NpbOutcome out;
-  out.result = ft::run_job(cfg, [&](ft::Ctx& ctx) {
+  const std::string label =
+      std::string("app=") + npb::to_string(job.app) +
+      " ranks=" + std::to_string(job.ranks) +
+      " protocol=" + ft::to_string(job.protocol) +
+      " mode=" + ft::to_string(job.mode) +
+      " scale=" + util::fmt_double(job.scale, 2) +
+      " seed=" + std::to_string(job.seed) +
+      " faults=" + std::to_string(job.faults.size());
+  out.result = bounded_run_job(cfg, label, [&](ft::Ctx& ctx) {
     const double cs = npb::run_app(ctx, params, &ctx);
     if (ctx.rank() == 0) checksum->store(cs);
   });
@@ -128,54 +206,6 @@ inline std::vector<ft::ProtocolKind> parse_protocol_list(
   }
   return out;
 }
-
-/// Hang watchdog: the main thread arms a deadline before each bench row or
-/// soak run; if the row outlives it, the process prints
-/// "FAIL <label> (hang after N ms)" and exits 3.  run_job cannot be
-/// cancelled from outside, so a hard exit is the only honest outcome for a
-/// hung row — the label on stdout names the parameters that reproduce it.
-class Watchdog {
- public:
-  explicit Watchdog(double timeout_ms)
-      : timeout_ms_(timeout_ms), thread_([this] { watch(); }) {}
-  ~Watchdog() {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-  }
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  void arm(std::string label) {
-    std::scoped_lock lock(mu_);
-    label_ = std::move(label);
-    armed_at_ms_ = util::now_ms();
-  }
-  void disarm() {
-    std::scoped_lock lock(mu_);
-    armed_at_ms_ = 0;
-  }
-
- private:
-  void watch() {
-    while (!stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      std::scoped_lock lock(mu_);
-      if (armed_at_ms_ > 0 && util::now_ms() - armed_at_ms_ > timeout_ms_) {
-        std::printf("FAIL %s (hang after %.0f ms)\n", label_.c_str(),
-                    timeout_ms_);
-        std::fflush(stdout);
-        std::_Exit(3);
-      }
-    }
-  }
-
-  const double timeout_ms_;
-  std::mutex mu_;
-  std::string label_;       // guarded by mu_
-  double armed_at_ms_ = 0;  // guarded by mu_; 0 while disarmed
-  std::atomic<bool> stop_{false};
-  std::thread thread_;  // last: starts after every member above exists
-};
 
 inline std::string fmt(double v, int digits = 2) {
   return util::fmt_double(v, digits);

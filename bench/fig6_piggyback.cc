@@ -74,9 +74,9 @@ int main(int argc, char** argv) {
                      uses_logger(proto) ? std::to_string(shards) : "-",
                      std::to_string(m.app_sent), fmt(m.avg_piggyback_idents()),
                      fmt(bytes_per_msg), fmt(m.piggyback_compression(), 3),
-                     std::to_string(out.result.logger_batches),
-                     std::to_string(out.result.logger_commit_rounds),
-                     std::to_string(out.result.logger_acks)});
+                     std::to_string(out.result.logger.batches),
+                     std::to_string(out.result.logger.commit_rounds),
+                     std::to_string(out.result.logger.acks)});
           json.field("app", std::string(to_string(app)))
               .field("ranks", n)
               .field("protocol", std::string(to_string(proto)))
@@ -85,9 +85,9 @@ int main(int argc, char** argv) {
               .field("piggyback_idents_per_msg", m.avg_piggyback_idents())
               .field("piggyback_bytes_per_msg", bytes_per_msg)
               .field("piggyback_ratio", m.piggyback_compression())
-              .field("logger_msgs", out.result.logger_batches)
-              .field("logger_commit_rounds", out.result.logger_commit_rounds)
-              .field("logger_acks", out.result.logger_acks)
+              .field("logger_msgs", out.result.logger.batches)
+              .field("logger_commit_rounds", out.result.logger.commit_rounds)
+              .field("logger_acks", out.result.logger.acks)
               .end_row();
         }
       }

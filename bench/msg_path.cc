@@ -346,10 +346,11 @@ int main(int argc, char** argv) {
                fmt(allocs_per_msg), fmt(alloc_bytes_per_msg, 0),
                fmt(copied_per_msg, 0)});
     if (json) {
-      const char* inbox_env = std::getenv("WINDAR_INBOX");
       json->field("mode", std::string("sim"))
           .field("protocol", to_string(protocol))
-          .field("inbox", std::string(inbox_env ? inbox_env : "ring"))
+          .field("inbox",
+                 std::string(net::to_string(
+                     net::resolve_inbox_config(ranks).kind)))
           .field("payload_b", size)
           .field("ranks", ranks)
           .field("msgs", res.total.app_sent)

@@ -181,7 +181,7 @@ int sim_worker_main(int argc, char** argv) {
     av.push_back(const_cast<char*>(s.c_str()));
   }
   SimOptions o = parse_sim_options(static_cast<int>(av.size()), av.data());
-  o.ranks = cfg.n;  // the launcher's rank count is authoritative
+  o.ranks = cfg.job.n;  // the launcher's rank count is authoritative
   auto workload = make_workload(o);
   return ft::run_worker(cfg, [&workload](ft::Ctx& ctx) -> std::uint64_t {
     workload(ctx);

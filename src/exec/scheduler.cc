@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 // Sanitizer fiber hooks.  ASan tracks a fake stack per fiber and must be told
 // around every swapcontext which stack is becoming live; TSan models each
@@ -255,14 +256,9 @@ bool parse_exec_model(const std::string& s, ExecModel* out) {
 
 ExecModel resolve_exec_model(ExecModel m) {
   if (m != ExecModel::kAuto) return m;
-  if (const char* env = std::getenv("WINDAR_EXEC")) {
-    ExecModel parsed;
-    if (parse_exec_model(env, &parsed) && parsed != ExecModel::kAuto) {
-      return parsed;
-    }
-    std::fprintf(stderr, "windar: ignoring unrecognized WINDAR_EXEC=%s\n", env);
-  }
-  return ExecModel::kThreads;
+  return util::env_choice("WINDAR_EXEC", {"threads", "coop"}) == "coop"
+             ? ExecModel::kCoop
+             : ExecModel::kThreads;
 }
 
 // ---------------------------------------------------------------------------
@@ -311,9 +307,8 @@ void install_runtime_once() {
 }  // namespace
 
 int Scheduler::default_workers() {
-  if (const char* env = std::getenv("WINDAR_EXEC_WORKERS")) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
+  if (const auto v = util::env_int("WINDAR_EXEC_WORKERS")) {
+    return static_cast<int>(*v);
   }
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;

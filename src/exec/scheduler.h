@@ -57,7 +57,7 @@ struct Task;
 ///              else kThreads.
 enum class ExecModel { kAuto, kThreads, kCoop };
 
-/// Resolves kAuto against WINDAR_EXEC.
+/// Resolves kAuto against WINDAR_EXEC; any other value of it is fatal.
 ExecModel resolve_exec_model(ExecModel m);
 
 inline const char* to_string(ExecModel m) {
@@ -92,7 +92,7 @@ class TaskHandle {
 class Scheduler {
  public:
   /// `workers` OS threads; 0 resolves the default — WINDAR_EXEC_WORKERS if
-  /// set and positive, else min(4, hardware_concurrency).  The pool size is
+  /// set (a malformed value is fatal), else min(4, hardware_concurrency).  The pool size is
   /// independent of how many tasks are spawned.
   explicit Scheduler(int workers = 0);
 

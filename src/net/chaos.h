@@ -54,6 +54,8 @@ struct ChaosEvent {
   // kKill / kDuplicate / kDelay all keep counting after firing only if
   // `repeat` is set; by default an event is one-shot.
   bool repeat = false;
+
+  bool operator==(const ChaosEvent&) const = default;
 };
 
 /// Thread-safe trigger table consulted by the fabric on every send and

@@ -1,10 +1,9 @@
 #include "net/fabric.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace windar::net {
 
@@ -25,9 +24,8 @@ constexpr std::size_t kCutThroughMaxWire = 1152;
 }  // namespace
 
 int Fabric::default_shards() {
-  if (const char* env = std::getenv("WINDAR_FABRIC_SHARDS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+  if (const auto v = util::env_int("WINDAR_FABRIC_SHARDS")) {
+    return static_cast<int>(*v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::min(4u, hw == 0 ? 1u : hw));
@@ -57,16 +55,8 @@ Fabric::Fabric(int endpoints, LatencyModel model, std::uint64_t seed,
   }
   // Zero-latency cut-through: when the model has no delay to enforce, the
   // sender thread can deliver straight into the destination inbox — no shard
-  // hop, no scheduler wakeup.  WINDAR_FABRIC_CUTTHROUGH=0|off forces every
-  // packet through the shard schedulers (A/B runs, bisects).
-  if (model_.is_zero()) {
-    cut_through_ = true;
-    if (const char* env = std::getenv("WINDAR_FABRIC_CUTTHROUGH")) {
-      if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-        cut_through_ = false;
-      }
-    }
-  }
+  // hop, no scheduler wakeup.
+  cut_through_ = model_.is_zero();
   if (cut_through_) {
     shard_pending_ = std::make_unique<std::atomic<std::uint32_t>[]>(
         static_cast<std::size_t>(endpoints));

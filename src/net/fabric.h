@@ -64,7 +64,7 @@ class Fabric final : public Transport {
   /// num_shards`; 0 resolves the default — the WINDAR_FABRIC_SHARDS
   /// environment variable if set, else min(4, hardware_concurrency).
   /// `inbox` overrides the per-endpoint inbox backend/capacity; nullopt
-  /// resolves WINDAR_INBOX / WINDAR_INBOX_CAP (default: bounded MPSC ring).
+  /// takes resolve_inbox_config (a bounded MPSC ring).
   Fabric(int endpoints, LatencyModel model, std::uint64_t seed,
          int num_shards = 0, std::optional<InboxConfig> inbox = std::nullopt);
   ~Fabric() override;
@@ -78,7 +78,7 @@ class Fabric final : public Transport {
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
   /// Default shard count when the constructor gets `num_shards == 0`:
-  /// WINDAR_FABRIC_SHARDS if set and positive, else
+  /// WINDAR_FABRIC_SHARDS if set (a malformed value is fatal), else
   /// min(4, hardware_concurrency).
   static int default_shards();
 
@@ -153,8 +153,8 @@ class Fabric final : public Transport {
   std::atomic<std::uint64_t> next_order_{0};
   std::atomic<bool> shutdown_{false};
 
-  // Cut-through plumbing (active only when the latency model is identically
-  // zero and WINDAR_FABRIC_CUTTHROUGH is not "0"/"off").  shard_pending_[d]
+  // Cut-through plumbing (active exactly when the latency model is
+  // identically zero).  shard_pending_[d]
   // counts packets for endpoint d still inside the shard scheduler: while it
   // is non-zero, new sends to d keep taking the shard path so a packet that
   // fell back (full ring, chaos duplicate) is never overtaken on its own

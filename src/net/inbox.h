@@ -1,12 +1,11 @@
-// Per-endpoint inbox: the bounded MPSC ring (default) or the legacy
-// mutexed BlockingQueue, selected per endpoint at construction.
+// Per-endpoint inbox: the bounded MPSC ring or the mutexed BlockingQueue,
+// selected per endpoint at construction.
 //
-// The ring is the data-plane fast path — lock-free producers (fabric shard
+// The ring is the data-plane backend — lock-free producers (fabric shard
 // schedulers, the socket reader) and a serialized consumer, with bounded
 // capacity acting as backpressure instead of unbounded deque growth.  The
-// queue remains for control-plane endpoints (the launcher's JOIN/GO/DONE
-// channel must never exert backpressure on workers mid-barrier) and as the
-// WINDAR_INBOX=queue escape hatch for A/B runs and bisects.
+// queue serves control-plane endpoints: the launcher's JOIN/GO/DONE channel
+// must never exert backpressure on workers mid-barrier.
 //
 // Both backends share one contract (tests run the fabric invariant against
 // each): push returns true iff accepted; poison discards queued packets,
@@ -16,8 +15,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -39,25 +36,16 @@ struct InboxConfig {
   std::size_t capacity = 1024;  // ring slots; ignored by the queue backend
 };
 
-/// Resolves the inbox configuration for a transport hosting
-/// `endpoints_hint` endpoints.  WINDAR_INBOX=ring|queue selects the backend
-/// (default ring); WINDAR_INBOX_CAP overrides the ring capacity, which
-/// otherwise scales down with the endpoint count so a 4096-rank job does
-/// not pre-reserve gigabytes of slots.
+/// The data-plane inbox configuration for a transport hosting
+/// `endpoints_hint` endpoints: a ring whose capacity scales down with the
+/// endpoint count, so a 4096-rank job does not pre-reserve gigabytes of
+/// slots.
 inline InboxConfig resolve_inbox_config(int endpoints_hint) {
   InboxConfig cfg;
-  if (const char* env = std::getenv("WINDAR_INBOX")) {
-    if (std::strcmp(env, "queue") == 0) cfg.kind = InboxKind::kQueue;
-    // anything else (incl. "ring") keeps the default
-  }
   if (endpoints_hint > 1024) {
     cfg.capacity = 64;
   } else if (endpoints_hint > 64) {
     cfg.capacity = 256;
-  }
-  if (const char* env = std::getenv("WINDAR_INBOX_CAP")) {
-    const long v = std::atol(env);
-    if (v > 0) cfg.capacity = static_cast<std::size_t>(v);
   }
   return cfg;
 }
@@ -75,10 +63,6 @@ class Inbox {
     } else {
       queue_ = std::make_unique<util::BlockingQueue<Packet>>();
     }
-  }
-
-  InboxKind kind() const {
-    return ring_ ? InboxKind::kRing : InboxKind::kQueue;
   }
 
   [[nodiscard]] bool push(Packet p) {

@@ -19,6 +19,8 @@ struct LatencyModel {
   std::chrono::nanoseconds per_byte{80};            // ~100 Mb/s Ethernet-ish
   std::chrono::nanoseconds jitter{40'000};          // uniform [0, jitter)
 
+  bool operator==(const LatencyModel&) const = default;
+
   /// Identically-zero model: every delay() is 0ns for every packet size.
   /// The fabric uses this to enable the sender-side cut-through fast path
   /// (no delay to model means no scheduler hop is needed).

@@ -79,8 +79,8 @@ struct SocketTransportOptions {
   // blocks on a dead rank.  Tests shrink these to force the blocking path.
   std::size_t writer_queue_max_packets = 4096;
   std::size_t writer_queue_max_bytes = 8u << 20;
-  // Hosted-endpoint inbox backend.  nullopt resolves WINDAR_INBOX /
-  // WINDAR_INBOX_CAP (default: bounded MPSC ring).  The launcher pins its
+  // Hosted-endpoint inbox backend.  nullopt takes resolve_inbox_config (a
+  // bounded MPSC ring).  The launcher pins its
   // control-plane transports to kQueue — barrier traffic must never exert
   // ring backpressure on the data plane.
   std::optional<InboxConfig> inbox;

@@ -1,6 +1,6 @@
 #include "net/transport.h"
 
-#include <cstdlib>
+#include "util/parse.h"
 
 namespace windar::net {
 
@@ -17,11 +17,9 @@ bool parse_transport(const std::string& s, TransportKind* out) {
 }
 
 TransportKind default_transport() {
-  if (const char* env = std::getenv("WINDAR_TRANSPORT")) {
-    TransportKind k;
-    if (parse_transport(env, &k)) return k;
-  }
-  return TransportKind::kSim;
+  return util::env_choice("WINDAR_TRANSPORT", {"sim", "socket"}) == "socket"
+             ? TransportKind::kSocket
+             : TransportKind::kSim;
 }
 
 }  // namespace windar::net

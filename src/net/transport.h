@@ -140,8 +140,8 @@ inline const char* to_string(TransportKind k) {
 /// Parses "sim" / "socket"; anything else returns false.
 bool parse_transport(const std::string& s, TransportKind* out);
 
-/// Default backend: WINDAR_TRANSPORT environment variable if set to a valid
-/// kind (mirrors WINDAR_FABRIC_SHARDS), else the simulated fabric.
+/// Default backend: the WINDAR_TRANSPORT environment variable ("sim" or
+/// "socket"; any other value is fatal) if set, else the simulated fabric.
 TransportKind default_transport();
 
 }  // namespace windar::net

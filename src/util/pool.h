@@ -26,16 +26,10 @@
 // use-after-poison, not silent corruption.  The refcount keeps correctly
 // shared views alive — a block only reaches the free list when the last
 // Buffer aliasing it is gone.
-//
-// WINDAR_POOL=off (or 0) disables recycling process-wide: every acquire is a
-// fresh allocation and every release frees, which is the bisect lever when a
-// lifetime bug is suspected.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -152,7 +146,7 @@ class BlockPool {
   /// size class when possible; oversize requests get a one-shot allocation.
   BlockRef acquire(std::size_t n) {
     const std::size_t cls = class_for(n);
-    if (cls < kNumClasses && enabled_.load(std::memory_order_relaxed)) {
+    if (cls < kNumClasses) {
       ClassList& list = classes_[cls];
       detail::BlockNode* node = nullptr;
       {
@@ -184,11 +178,11 @@ class BlockPool {
   }
 
   /// Last reference gone: back to the free list, or to the allocator when
-  /// the class is full / oversize / recycling is disabled.
+  /// the class is full or the block is oversize.
   static void release(detail::BlockNode* node) {
     BlockPool& pool = global();
     const std::size_t cls = node->size_class;
-    if (cls < kNumClasses && pool.enabled_.load(std::memory_order_relaxed)) {
+    if (cls < kNumClasses) {
       ClassList& list = pool.classes_[cls];
       std::unique_lock lock(list.mu);
       if (list.count < max_free_for_class(cls)) {
@@ -227,13 +221,6 @@ class BlockPool {
     }
   }
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  /// Test hook; production code uses the WINDAR_POOL environment gate.
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-    if (!on) trim();
-  }
-
   std::size_t free_blocks() const {
     std::size_t total = 0;
     for (const ClassList& list : classes_) {
@@ -252,13 +239,7 @@ class BlockPool {
   }
 
  private:
-  BlockPool() {
-    if (const char* env = std::getenv("WINDAR_POOL")) {
-      if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-        enabled_.store(false, std::memory_order_relaxed);
-      }
-    }
-  }
+  BlockPool() = default;
 
   static std::size_t class_for(std::size_t n) {
     for (std::size_t c = 0; c < kNumClasses; ++c) {
@@ -274,7 +255,6 @@ class BlockPool {
   };
 
   ClassList classes_[kNumClasses];
-  std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> created_{0};
   std::atomic<std::uint64_t> recycled_{0};
 };

@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace windar::ft {
 
@@ -412,21 +413,13 @@ CheckpointImage CheckpointImage::deserialize(
 
 bool resolve_ckpt_async(int configured) {
   if (configured >= 0) return configured != 0;
-  if (const char* env = std::getenv("WINDAR_CKPT")) {
-    return std::strcmp(env, "sync") != 0;
-  }
-  return true;
+  return util::env_choice("WINDAR_CKPT", {"sync", "async"}) != "sync";
 }
 
 std::size_t resolve_ckpt_anchor(std::size_t configured) {
-  std::size_t k = configured;
-  if (k == 0) {
-    if (const char* env = std::getenv("WINDAR_CKPT_ANCHOR_K")) {
-      k = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-    }
-  }
-  if (k == 0) k = 8;
-  return k;
+  if (configured > 0) return configured;
+  return static_cast<std::size_t>(
+      util::env_int("WINDAR_CKPT_ANCHOR_K").value_or(8));
 }
 
 CheckpointStore::CheckpointStore(std::string spill_dir,

@@ -131,10 +131,12 @@ struct CheckpointStoreStats {
 };
 
 /// -1 resolves the WINDAR_CKPT env var ("sync" disables the background
-/// writer), defaulting to asynchronous commit.
+/// writer, "async" keeps it; any other value is fatal), defaulting to
+/// asynchronous commit.
 bool resolve_ckpt_async(int configured);
-/// 0 resolves WINDAR_CKPT_ANCHOR_K, defaulting to a full image every 8
-/// checkpoints; 1 means every image is a full anchor (deltas disabled).
+/// 0 resolves WINDAR_CKPT_ANCHOR_K (a positive integer), defaulting to a
+/// full image every 8 checkpoints; 1 means every image is a full anchor
+/// (deltas disabled).
 std::size_t resolve_ckpt_anchor(std::size_t configured);
 
 class CheckpointStore {

@@ -1,20 +1,16 @@
 #include "windar/event_logger.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace windar::ft {
 
 int resolve_logger_shards(int configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("WINDAR_LOGGER_SHARDS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 1;
+  return static_cast<int>(util::env_int("WINDAR_LOGGER_SHARDS").value_or(1));
 }
 
 EventLogger::EventLogger(net::Transport& transport, Params params)
@@ -199,6 +195,19 @@ std::uint64_t EventLogger::commit_rounds() const {
 std::uint64_t EventLogger::acks_sent() const {
   std::scoped_lock lock(mu_);
   return acks_sent_;
+}
+
+LoggerStats stop_loggers(
+    const std::vector<std::unique_ptr<EventLogger>>& loggers) {
+  LoggerStats total;
+  for (const auto& logger : loggers) {
+    logger->stop();
+    total.batches += logger->batches();
+    total.determinants += logger->stored_determinants();
+    total.commit_rounds += logger->commit_rounds();
+    total.acks += logger->acks_sent();
+  }
+  return total;
 }
 
 }  // namespace windar::ft

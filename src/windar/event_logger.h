@@ -27,6 +27,7 @@
 #include <condition_variable>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,8 +40,24 @@
 namespace windar::ft {
 
 /// Resolves a configured logger shard count: a positive value wins, else
-/// WINDAR_LOGGER_SHARDS, else 1 (the single-logger seed behaviour).
+/// WINDAR_LOGGER_SHARDS (a positive integer), else 1 (the single-logger
+/// seed behaviour).
 int resolve_logger_shards(int configured);
+
+/// Event-logger counters, summed over a job's shards.
+struct LoggerStats {
+  std::uint64_t batches = 0;        // kTelLog packets committed
+  std::uint64_t determinants = 0;   // still stored at job end
+  std::uint64_t commit_rounds = 0;  // storage-delay commits taken
+  std::uint64_t acks = 0;           // kTelAck packets sent
+};
+
+class EventLogger;
+
+/// Stops every shard (so in-flight commit rounds are counted) and sums
+/// their counters.
+LoggerStats stop_loggers(
+    const std::vector<std::unique_ptr<EventLogger>>& loggers);
 
 class EventLogger {
  public:

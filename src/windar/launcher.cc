@@ -7,17 +7,21 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "net/socket_transport.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/clock.h"
+#include "util/parse.h"
 #include "windar/event_logger.h"
 #include "windar/process.h"
 
@@ -35,36 +39,6 @@ constexpr std::uint16_t kKillReq = 5;
 constexpr std::uint16_t kBye = 6;
 
 constexpr std::uint64_t kDigestMod = 1000000007ull;
-
-bool uses_event_logger(ProtocolKind p) {
-  return p == ProtocolKind::kTel || p == ProtocolKind::kPes;
-}
-
-// Lowercase argv tokens for ProtocolKind / SendMode.
-const char* protocol_token(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kTdi: return "tdi";
-    case ProtocolKind::kTag: return "tag";
-    case ProtocolKind::kTel: return "tel";
-    case ProtocolKind::kTdiSparse: return "tdi-s";
-    case ProtocolKind::kTdiDelta: return "tdi-d";
-    case ProtocolKind::kPes: return "pes";
-  }
-  return "tdi";
-}
-
-std::vector<std::uint64_t> split_u64(const std::string& s, char sep) {
-  std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find(sep, pos);
-    if (next == std::string::npos) next = s.size();
-    out.push_back(std::strtoull(s.substr(pos, next - pos).c_str(), nullptr,
-                                10));
-    pos = next + 1;
-  }
-  return out;
-}
 
 /// Identity of a schedule entry for done-marking: everything but `target`
 /// (the fired copy has it resolved to a concrete endpoint) and `delay`.
@@ -116,7 +90,8 @@ std::vector<net::ChaosEvent> decode_chaos(const std::string& spec) {
     while (p < rec.size()) {
       std::size_t q = rec.find(',', p);
       if (q == std::string::npos) q = rec.size();
-      f.push_back(std::strtoll(rec.substr(p, q - p).c_str(), nullptr, 10));
+      f.push_back(util::parse_number<long long>(
+          std::string_view(rec).substr(p, q - p), "chaos record field"));
       p = q + 1;
     }
     WINDAR_CHECK_EQ(f.size(), 9u) << "bad chaos record '" << rec << "'";
@@ -139,9 +114,92 @@ std::vector<net::ChaosEvent> decode_chaos(const std::string& spec) {
 // Worker side
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Every worker flag, once: encode_worker writes each field and
+/// WorkerConfig::parse reads each back, so no field can reach one side only.
+template <typename Config, typename Visit>
+void for_each_worker_flag(Config& w, Visit&& visit) {
+  visit("rank", w.rank);
+  visit("dir", w.dir);
+  visit("incarnation", w.incarnation);
+  visit("recovering", w.recovering);
+  visit("timeout-ms", w.timeout_ms);
+  visit("chaos", w.chaos);
+  visit("n", w.job.n);
+  visit("protocol", w.job.protocol);
+  visit("mode", w.job.mode);
+  visit("seed", w.job.seed);
+  visit("eager", w.job.eager_threshold);
+  visit("retry-ms", w.job.rollback_retry);
+  visit("retry-cap-ms", w.job.rollback_retry_cap);
+  visit("logger-shards", w.job.logger_shards);
+  visit("ckpt-async", w.job.ckpt_async);
+  visit("ckpt-anchor", w.job.ckpt_delta_anchor);
+  visit("replay-burst", w.job.replay_burst);
+  visit("holdback-cap", w.job.holdback_cap);
+}
+
+template <typename T>
+std::string flag_text(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "1" : "0";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    char buf[64];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
+    return flag_text(v.count());
+  } else if constexpr (std::is_same_v<T, std::vector<net::ChaosEvent>>) {
+    return encode_chaos(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else {
+    return to_string(v);  // ProtocolKind, SendMode
+  }
+}
+
+/// Parses all of `text` into `out`; a malformed value is fatal.
+template <typename T>
+void parse_flag(std::string_view flag, std::string_view text, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    WINDAR_CHECK(text == "0" || text == "1") << "malformed " << flag;
+    out = text == "1";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    out = util::parse_number<T>(text, flag);
+  } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
+    out = T(util::parse_number<typename T::rep>(text, flag));
+  } else if constexpr (std::is_same_v<T, std::vector<net::ChaosEvent>>) {
+    out = decode_chaos(std::string(text));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_same_v<T, ProtocolKind>) {
+    const auto kind = parse_protocol(text);
+    WINDAR_CHECK(kind) << "malformed " << flag;
+    out = *kind;
+  } else {
+    static_assert(std::is_same_v<T, SendMode>);
+    WINDAR_CHECK(text == "blocking" || text == "nonblocking")
+        << "malformed " << flag;
+    out = text == "blocking" ? SendMode::kBlocking : SendMode::kNonBlocking;
+  }
+}
+
+constexpr std::string_view kFlagPrefix = "--windar-";
+
+}  // namespace
+
+std::vector<std::string> encode_worker(const WorkerConfig& cfg) {
+  std::vector<std::string> flags;
+  for_each_worker_flag(cfg, [&](std::string_view name, const auto& field) {
+    flags.push_back(std::string(kFlagPrefix) + std::string(name) + "=" +
+                    flag_text(field));
+  });
+  return flags;
+}
+
 bool WorkerConfig::is_worker_invocation(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--windar-rank=", 14) == 0) return true;
+    if (std::string_view(argv[i]).starts_with("--windar-rank=")) return true;
   }
   return false;
 }
@@ -149,78 +207,32 @@ bool WorkerConfig::is_worker_invocation(int argc, char** argv) {
 WorkerConfig WorkerConfig::parse(int argc, char** argv) {
   WorkerConfig cfg;
   cfg.app_args.push_back(argc > 0 ? argv[0] : "worker");
-  std::string chaos_spec, chaos_done;
-  const auto val = [](const std::string& arg, const char* flag,
-                      std::string* out) {
-    const std::size_t len = std::strlen(flag);
-    if (arg.compare(0, len, flag) != 0) return false;
-    *out = arg.substr(len);
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    if (val(a, "--windar-rank=", &v)) {
-      cfg.rank = std::atoi(v.c_str());
-    } else if (val(a, "--windar-n=", &v)) {
-      cfg.n = std::atoi(v.c_str());
-    } else if (val(a, "--windar-dir=", &v)) {
-      cfg.dir = v;
-    } else if (val(a, "--windar-protocol=", &v)) {
-      const auto kind = parse_protocol(v);
-      WINDAR_CHECK(kind) << "unknown protocol '" << v << "'";
-      cfg.protocol = *kind;
-    } else if (val(a, "--windar-mode=", &v)) {
-      cfg.mode = v == "blocking" ? SendMode::kBlocking
-                                 : SendMode::kNonBlocking;
-    } else if (val(a, "--windar-incarnation=", &v)) {
-      cfg.incarnation = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (val(a, "--windar-recovering=", &v)) {
-      cfg.recovering = v == "1";
-    } else if (val(a, "--windar-seed=", &v)) {
-      cfg.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (val(a, "--windar-eager=", &v)) {
-      cfg.eager_threshold = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (val(a, "--windar-logger-shards=", &v)) {
-      cfg.logger_shards = std::atoi(v.c_str());
-    } else if (val(a, "--windar-retry-ms=", &v)) {
-      cfg.rollback_retry = std::chrono::milliseconds(std::atoi(v.c_str()));
-    } else if (val(a, "--windar-retry-cap-ms=", &v)) {
-      cfg.rollback_retry_cap =
-          std::chrono::milliseconds(std::atoi(v.c_str()));
-    } else if (val(a, "--windar-timeout-ms=", &v)) {
-      cfg.timeout_ms = std::atof(v.c_str());
-    } else if (val(a, "--windar-chaos=", &v)) {
-      chaos_spec = v;
-    } else if (val(a, "--windar-chaos-done=", &v)) {
-      chaos_done = v;
-    } else if (a.compare(0, 9, "--windar-") == 0) {
-      WINDAR_CHECK(false) << "unknown worker flag " << a;
-    } else {
-      cfg.app_args.push_back(a);
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with(kFlagPrefix)) {
+      cfg.app_args.emplace_back(arg);
+      continue;
     }
+    const std::size_t eq = arg.find('=');
+    const std::string_view name =
+        arg.substr(kFlagPrefix.size(), eq - kFlagPrefix.size());
+    bool known = false;
+    for_each_worker_flag(cfg, [&](std::string_view flag, auto& field) {
+      if (flag != name || eq == std::string_view::npos) return;
+      parse_flag(arg, arg.substr(eq + 1), field);
+      known = true;
+    });
+    WINDAR_CHECK(known) << "unknown worker flag " << arg;
   }
-  // Arm the schedule minus the one-shot kills that already fired in earlier
-  // incarnations: a fresh process re-counting a fired delivery-keyed kill
-  // would crash every incarnation at the same point, forever.
-  auto events = decode_chaos(chaos_spec);
-  std::vector<bool> drop(events.size(), false);
-  for (std::uint64_t idx : split_u64(chaos_done, ',')) {
-    if (idx < drop.size()) drop[idx] = true;
-  }
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (!drop[i]) cfg.chaos.push_back(events[i]);
-  }
-  WINDAR_CHECK_GT(cfg.n, 0) << "worker without --windar-n";
-  WINDAR_CHECK(cfg.rank >= 0 && cfg.rank < cfg.n) << "bad worker rank";
+  WINDAR_CHECK_GT(cfg.job.n, 0) << "worker without --windar-n";
+  WINDAR_CHECK(cfg.rank >= 0 && cfg.rank < cfg.job.n) << "bad worker rank";
   WINDAR_CHECK(!cfg.dir.empty()) << "worker without --windar-dir";
   return cfg;
 }
 
 int run_worker(const WorkerConfig& cfg, const WorkerFn& fn) {
-  const bool uses_logger = uses_event_logger(cfg.protocol);
-  const int logger_shards = uses_logger ? std::max(1, cfg.logger_shards) : 0;
-  const int launcher_ep = cfg.n;
+  const JobConfig& job = cfg.job;
+  const int launcher_ep = job.n;
 
   // Suicide watchdog: if the launcher died or the job wedged, don't linger
   // as an orphan serving a job nobody is running.
@@ -239,14 +251,14 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn) {
   }).detach();
 
   net::SocketTransportOptions dopt;
-  dopt.endpoints = cfg.n + logger_shards;
+  dopt.endpoints = job.n + job.logger_shards;
   dopt.self = cfg.rank;
   dopt.dir = cfg.dir + "/data";
   dopt.incarnation = cfg.incarnation;
   net::SocketTransport data(dopt);
 
   net::SocketTransportOptions copt;
-  copt.endpoints = cfg.n + 1;
+  copt.endpoints = job.n + 1;
   copt.self = cfg.rank;
   copt.dir = cfg.dir + "/ctrl";
   copt.incarnation = cfg.incarnation;
@@ -255,7 +267,7 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn) {
   copt.inbox = net::InboxConfig{net::InboxKind::kQueue, 0};
   net::SocketTransport ctrl(copt);
 
-  CheckpointStore store(cfg.dir + "/ckpt");
+  CheckpointStore store(cfg.dir + "/ckpt", job.ckpt_delta_anchor);
 
   // Every kill event in a generated plan fires inside the victim's own
   // process (kSend matches at the sender, kDeliver at the receiver), so the
@@ -295,27 +307,12 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn) {
     }
   }
 
-  ProcessParams pp;
-  pp.rank = cfg.rank;
-  pp.n = cfg.n;
-  pp.protocol = cfg.protocol;
-  pp.mode = cfg.mode;
-  pp.eager_threshold = cfg.eager_threshold;
-  pp.rollback_retry = cfg.rollback_retry;
-  pp.rollback_retry_cap = cfg.rollback_retry_cap;
-  pp.logger_endpoint =
-      uses_logger ? logger_shard_endpoint(cfg.n, cfg.rank, logger_shards)
-                  : -1;
-  // WINDAR_CKPT / WINDAR_CKPT_ANCHOR_K propagate through fork+exec, so the
-  // whole job (and every respawned incarnation) resolves the same plan.
-  pp.ckpt_async = resolve_ckpt_async(-1);
-  pp.incarnation = cfg.incarnation;
-
   int rc = 0;
   std::uint64_t digest = 0;
   Metrics metrics;
   {
-    Process proc(data, store, pp, cfg.recovering);
+    Process proc(data, store, process_params(job, cfg.rank, cfg.incarnation),
+                 cfg.recovering);
     Ctx ctx(proc);
     try {
       digest = fn(ctx);
@@ -385,13 +382,10 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn) {
 
 MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
   MultiProcResult res;
-  const JobConfig& job = spec.job;
+  res.config = resolve_job_config(spec.job);
+  const JobConfig& job = res.config;
   const int n = job.n;
   const int launcher_ep = n;
-  const bool uses_logger = uses_event_logger(job.protocol);
-  const int logger_shards =
-      uses_logger ? std::min(n, resolve_logger_shards(job.logger_shards)) : 0;
-  WINDAR_CHECK_GT(n, 0) << "job needs ranks";
 
   std::string dir = spec.job_dir;
   if (dir.empty()) {
@@ -418,22 +412,16 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
   // them (a SocketTransport hosts one endpoint, so one transport per shard).
   std::vector<std::unique_ptr<net::SocketTransport>> logger_tps;
   std::vector<std::unique_ptr<EventLogger>> loggers;
-  for (int s = 0; s < logger_shards; ++s) {
+  for (int s = 0; s < job.logger_shards; ++s) {
     net::SocketTransportOptions lopt;
-    lopt.endpoints = n + logger_shards;
+    lopt.endpoints = n + job.logger_shards;
     lopt.self = n + s;
     lopt.dir = dir + "/data";
     logger_tps.push_back(std::make_unique<net::SocketTransport>(lopt));
-    EventLogger::Params lp;
-    lp.endpoint = n + s;
-    lp.ranks = n;
-    lp.storage_delay = job.logger_storage_delay;
-    lp.shards = logger_shards;
-    lp.shard_index = s;
-    loggers.push_back(std::make_unique<EventLogger>(*logger_tps.back(), lp));
+    loggers.push_back(std::make_unique<EventLogger>(*logger_tps.back(),
+                                                    logger_params(job, s)));
   }
 
-  const std::string chaos_spec = encode_chaos(job.chaos);
   std::vector<bool> event_done(job.chaos.size(), false);
 
   struct RankState {
@@ -467,47 +455,25 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
     }
   };
 
-  const auto chaos_done_list = [&] {
-    std::string out;
-    for (std::size_t i = 0; i < event_done.size(); ++i) {
-      if (!event_done[i]) continue;
-      if (!out.empty()) out += ',';
-      out += std::to_string(i);
-    }
-    return out;
-  };
-
   const auto spawn = [&](int r, bool recovering) {
     RankState& rk = ranks[static_cast<std::size_t>(r)];
-    std::vector<std::string> av;
-    av.push_back(exe);
-    for (const auto& a : spec.worker_args) av.push_back(a);
-    av.push_back("--windar-rank=" + std::to_string(r));
-    av.push_back("--windar-n=" + std::to_string(n));
-    av.push_back("--windar-dir=" + dir);
-    av.push_back("--windar-protocol=" +
-                 std::string(protocol_token(job.protocol)));
-    av.push_back("--windar-mode=" +
-                 std::string(job.mode == SendMode::kBlocking ? "blocking"
-                                                             : "nonblocking"));
-    av.push_back("--windar-incarnation=" + std::to_string(rk.incarnation));
-    av.push_back(std::string("--windar-recovering=") +
-                 (recovering ? "1" : "0"));
-    av.push_back("--windar-seed=" + std::to_string(job.seed));
-    av.push_back("--windar-eager=" + std::to_string(job.eager_threshold));
-    if (logger_shards > 0) {
-      av.push_back("--windar-logger-shards=" + std::to_string(logger_shards));
+    WorkerConfig w;
+    w.job = job;
+    w.job.chaos.clear();
+    w.rank = r;
+    w.dir = dir;
+    w.incarnation = rk.incarnation;
+    w.recovering = recovering;
+    w.timeout_ms = spec.timeout_ms;
+    // Arm the schedule minus the one-shot kills that already fired in
+    // earlier incarnations: a fresh process re-counting a fired
+    // delivery-keyed kill would crash every incarnation at the same point.
+    for (std::size_t i = 0; i < job.chaos.size(); ++i) {
+      if (!event_done[i]) w.chaos.push_back(job.chaos[i]);
     }
-    av.push_back("--windar-retry-ms=" +
-                 std::to_string(job.rollback_retry.count()));
-    av.push_back("--windar-retry-cap-ms=" +
-                 std::to_string(job.rollback_retry_cap.count()));
-    av.push_back("--windar-timeout-ms=" + std::to_string(spec.timeout_ms));
-    if (!chaos_spec.empty()) {
-      av.push_back("--windar-chaos=" + chaos_spec);
-      const std::string done = chaos_done_list();
-      if (!done.empty()) av.push_back("--windar-chaos-done=" + done);
-    }
+    std::vector<std::string> av{exe};
+    av.insert(av.end(), spec.worker_args.begin(), spec.worker_args.end());
+    for (std::string& flag : encode_worker(w)) av.push_back(std::move(flag));
     const pid_t pid = ::fork();
     WINDAR_CHECK_GE(pid, 0) << "fork: " << std::strerror(errno);
     if (pid == 0) {
@@ -772,16 +738,10 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
     }
   }
 
-  for (int s = 0; s < logger_shards; ++s) {
-    loggers[static_cast<std::size_t>(s)]->stop();
-    res.logger_batches += loggers[static_cast<std::size_t>(s)]->batches();
-    res.logger_determinants +=
-        loggers[static_cast<std::size_t>(s)]->stored_determinants();
-    res.logger_commit_rounds +=
-        loggers[static_cast<std::size_t>(s)]->commit_rounds();
-    res.logger_acks += loggers[static_cast<std::size_t>(s)]->acks_sent();
-    res.fabric.merge(logger_tps[static_cast<std::size_t>(s)]->stats());
-    logger_tps[static_cast<std::size_t>(s)]->shutdown();
+  res.logger = stop_loggers(loggers);
+  for (auto& tp : logger_tps) {
+    res.fabric.merge(tp->stats());
+    tp->shutdown();
   }
   ctrl.shutdown();
 

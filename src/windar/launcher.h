@@ -34,10 +34,10 @@
 // generated kill event fires inside the victim's own process (kSend matches
 // at the sender, kDeliver at the receiver), so the handler reports the fired
 // event to the launcher, flushes, and SIGKILLs itself — a crash at the exact
-// protocol point the event names.  Fired one-shot kills are echoed back to
-// respawned incarnations as `--windar-chaos-done=` indices so a fresh
-// process does not re-arm them (the in-process schedule is job-global; a
-// per-process copy without this would re-kill every incarnation forever).
+// protocol point the event names.  One-shot kills that already fired are left
+// off the schedule handed to later spawns, so a fresh process does not re-arm
+// them (the in-process schedule is job-global; a per-process copy that kept
+// them would re-kill every incarnation forever).
 //
 // Known deviations from the simulated runtime, by design:
 //   * revive_after_packets (a fabric-wide delivered-packet count) cannot be
@@ -75,20 +75,15 @@ std::vector<net::ChaosEvent> decode_chaos(const std::string& spec);
 /// Everything a worker process needs, parsed from the `--windar-*` flags the
 /// launcher put on its command line.
 struct WorkerConfig {
+  /// The resolved job, restricted to the fields a worker uses (see
+  /// LaunchSpec::job); `job.chaos` stays empty — the worker arms `chaos`.
+  JobConfig job;
   int rank = 0;
-  int n = 0;
-  ProtocolKind protocol = ProtocolKind::kTdi;
-  SendMode mode = SendMode::kNonBlocking;
   std::string dir;  // job directory (data/, ctrl/, ckpt/ live under it)
   std::uint32_t incarnation = 0;
   bool recovering = false;
-  std::uint64_t seed = 1;
-  std::size_t eager_threshold = 8 * 1024;
-  int logger_shards = 1;  // TEL/PES logger shards (endpoints n..n+shards-1)
-  std::chrono::milliseconds rollback_retry{25};
-  std::chrono::milliseconds rollback_retry_cap{200};
   double timeout_ms = 120000;  // suicide watchdog (launcher died / wedged)
-  std::vector<net::ChaosEvent> chaos;  // chaos-done events already removed
+  std::vector<net::ChaosEvent> chaos;  // fired one-shot kills left out
 
   /// argv with every `--windar-*` flag stripped: what the embedding binary
   /// should feed its own option parser to recover its app arguments.
@@ -97,8 +92,14 @@ struct WorkerConfig {
   /// True iff argv carries `--windar-rank=`: this invocation is a worker,
   /// not a user-facing run.  Check this first in main().
   static bool is_worker_invocation(int argc, char** argv);
+  /// Decodes the `--windar-*` flags encode_worker wrote; every other
+  /// argument lands in app_args.  A malformed or unknown flag is fatal.
   static WorkerConfig parse(int argc, char** argv);
 };
+
+/// The `--windar-*` flags that make WorkerConfig::parse return `cfg` (all
+/// fields but app_args).
+std::vector<std::string> encode_worker(const WorkerConfig& cfg);
 
 /// The worker's rank function: same Ctx surface as the simulated runtime,
 /// returning this rank's result digest (any deterministic function of the
@@ -116,11 +117,15 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn);
 // ---------------------------------------------------------------------------
 
 struct LaunchSpec {
-  /// Job shape.  Used: n, protocol, mode, seed, eager_threshold,
-  /// rollback_retry/cap, restart_delay_ms, logger_storage_delay, chaos,
-  /// faults (wall-clock SIGKILLs).  Ignored: latency (real now),
-  /// fabric_shards, trace, checkpoint_spill_dir (the job directory's ckpt/
-  /// is the stable store).
+  /// Job shape, resolved once by the launcher.  Forwarded to every worker:
+  /// n, protocol, mode, seed, eager_threshold, rollback_retry/cap,
+  /// logger_shards, ckpt_async, ckpt_delta_anchor, replay_burst,
+  /// holdback_cap, chaos.  Used by the launcher itself: restart_delay_ms,
+  /// logger_storage_delay, faults (wall-clock SIGKILLs).  Ignored, as they
+  /// cannot apply to separate processes: latency (the sockets are real),
+  /// fabric_shards and exec_* (no in-process fabric or scheduler), trace (a
+  /// recorder spans one address space), checkpoint_spill_dir (the job
+  /// directory's ckpt/ is the stable store).
   JobConfig job;
   /// Forwarded verbatim to every worker before the `--windar-*` flags: the
   /// embedding binary's own app arguments.
@@ -133,6 +138,7 @@ struct LaunchSpec {
 };
 
 struct MultiProcResult {
+  JobConfig config;   // the resolved configuration the job ran
   bool ok = false;
   std::string error;  // set when !ok
   double wall_ms = 0;
@@ -147,10 +153,7 @@ struct MultiProcResult {
   std::uint64_t app_sent = 0;
   std::uint64_t app_delivered = 0;
   std::uint64_t checkpoints = 0;
-  std::uint64_t logger_batches = 0;       // TEL/PES: kTelLog packets committed
-  std::uint64_t logger_determinants = 0;  // TEL/PES (summed over shards)
-  std::uint64_t logger_commit_rounds = 0;
-  std::uint64_t logger_acks = 0;
+  LoggerStats logger;  // TEL/PES, summed over the launcher-hosted shards
 };
 
 /// Launches `job.n` worker processes, runs the job (faults and all) to

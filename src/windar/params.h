@@ -29,11 +29,6 @@ struct ProcessParams {
   int logger_endpoint = -1;
   std::size_t tel_batch = 32;
   std::chrono::microseconds tel_flush_interval{50};
-  // Paper Fig. 4(b) uses a dedicated sending thread because real transports
-  // block in send().  The simulated fabric's send never blocks, so by
-  // default the application thread hands packets to the fabric directly and
-  // the sending thread is opt-in (it only adds a scheduling hop here).
-  bool sender_thread = false;
   // Asynchronous checkpoint commit: checkpoint() seals a cheap in-memory
   // snapshot and a background writer serializes + durably writes it, with
   // CHECKPOINT_ADVANCE emitted strictly after durability.  Only effective in
@@ -52,6 +47,8 @@ struct ProcessParams {
   // Optional causal-event recorder (owned by the caller, shared by ranks).
   TraceSink* trace = nullptr;
   std::uint32_t incarnation = 0;  // 0 = original process
+
+  bool operator==(const ProcessParams&) const = default;
 };
 
 }  // namespace windar::ft

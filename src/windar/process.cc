@@ -1,17 +1,21 @@
 #include "windar/process.h"
 
-#include <cstdlib>
 #include <thread>
 
 #include "util/check.h"
+#include "util/parse.h"
 #include "util/wait.h"
 
 namespace windar::ft {
 
+int Process::stall_dump_period_ms() {
+  return static_cast<int>(util::env_int("WINDAR_STALL_DUMP_MS").value_or(0));
+}
+
 // Breadcrumb recording is only useful together with the stall watchdog and
 // costs a small allocation per call, so it shares the same switch.
 bool Process::debug_breadcrumbs() {
-  static const bool enabled = std::getenv("WINDAR_STALL_DUMP_MS") != nullptr;
+  static const bool enabled = stall_dump_period_ms() > 0;
   return enabled;
 }
 
@@ -214,7 +218,6 @@ void Process::checkpoint(std::span<const std::uint8_t> app_state) {
 
 void Process::poison() {
   life_.killed.store(true, std::memory_order_release);
-  send_path_.poison();
   delivery_.notify();
 }
 

@@ -6,7 +6,7 @@
 //   ChannelState     per-pair counters, ack/suppression watermarks
 //   SenderLog        sender-based message log (internally locked)
 //   ProtocolHost     the LoggingProtocol behind its own lock
-//   SendPath         transmit paths, queue A, helper threads, event pump
+//   SendPath         transmit path, receiver helper, event pump
 //   RecoveryManager  checkpoint/restore + ROLLBACK/RESPONSE choreography
 //   DeliveryQueue    queue B, delivery gate, app-thread waits
 //
@@ -104,6 +104,10 @@ class Process {
   /// One-line diagnostic snapshot (recovery state, queue depths, counters)
   /// for the runtime's stall watchdog.
   std::string debug_state() const;
+
+  /// The stall watchdog's dump period: WINDAR_STALL_DUMP_MS (a positive
+  /// integer; a malformed value is fatal), or 0 (off) when unset.
+  static int stall_dump_period_ms();
 
  private:
   using Clock = std::chrono::steady_clock;

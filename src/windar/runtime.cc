@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <cstdlib>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -38,28 +38,64 @@ struct Slot {
 
 }  // namespace
 
-JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
-  WINDAR_CHECK_GT(config.n, 0) << "need at least one rank";
-  const bool uses_logger = config.protocol == ProtocolKind::kTel ||
-                           config.protocol == ProtocolKind::kPes;
-  const int logger_shards =
-      uses_logger ? std::min(config.n, resolve_logger_shards(config.logger_shards))
-                  : 0;
-  const int endpoints = config.n + logger_shards;
+JobConfig resolve_job_config(JobConfig c) {
+  WINDAR_CHECK_GT(c.n, 0) << "need at least one rank";
+  c.exec_model = exec::resolve_exec_model(c.exec_model);
+  if (c.exec_workers <= 0) c.exec_workers = exec::Scheduler::default_workers();
+  const bool uses_logger =
+      c.protocol == ProtocolKind::kTel || c.protocol == ProtocolKind::kPes;
+  c.logger_shards =
+      uses_logger ? std::min(c.n, resolve_logger_shards(c.logger_shards)) : 0;
+  if (c.fabric_shards <= 0) c.fabric_shards = net::Fabric::default_shards();
+  c.fabric_shards = std::min(c.fabric_shards, c.n + c.logger_shards);
+  c.ckpt_async = resolve_ckpt_async(c.ckpt_async) ? 1 : 0;
+  c.ckpt_delta_anchor = resolve_ckpt_anchor(c.ckpt_delta_anchor);
+  return c;
+}
 
-  net::Fabric fabric(endpoints, config.latency, config.seed,
-                     config.fabric_shards);
+ProcessParams process_params(const JobConfig& job, int rank,
+                             std::uint32_t incarnation) {
+  WINDAR_CHECK(job.ckpt_async >= 0 && job.ckpt_delta_anchor > 0)
+      << "process_params needs a resolved JobConfig";
+  ProcessParams p;
+  p.rank = rank;
+  p.n = job.n;
+  p.protocol = job.protocol;
+  p.mode = job.mode;
+  p.eager_threshold = job.eager_threshold;
+  p.rollback_retry = job.rollback_retry;
+  p.rollback_retry_cap = job.rollback_retry_cap;
+  p.logger_endpoint = job.logger_shards > 0
+                          ? logger_shard_endpoint(job.n, rank, job.logger_shards)
+                          : -1;
+  p.ckpt_async = job.ckpt_async != 0;
+  p.replay_burst = job.replay_burst;
+  p.holdback_cap = job.holdback_cap;
+  p.trace = job.trace;
+  p.incarnation = incarnation;
+  return p;
+}
+
+EventLogger::Params logger_params(const JobConfig& job, int shard) {
+  EventLogger::Params lp;
+  lp.endpoint = job.n + shard;
+  lp.ranks = job.n;
+  lp.storage_delay = job.logger_storage_delay;
+  lp.shards = job.logger_shards;
+  lp.shard_index = shard;
+  return lp;
+}
+
+JobResult run_job(const JobConfig& requested, const FtRankFn& fn) {
+  const JobConfig config = resolve_job_config(requested);
+  net::Fabric fabric(config.n + config.logger_shards, config.latency,
+                     config.seed, config.fabric_shards);
   CheckpointStore store(config.checkpoint_spill_dir,
                         config.ckpt_delta_anchor);
   std::vector<std::unique_ptr<EventLogger>> loggers;
-  for (int s = 0; s < logger_shards; ++s) {
-    EventLogger::Params lp;
-    lp.endpoint = config.n + s;
-    lp.ranks = config.n;
-    lp.storage_delay = config.logger_storage_delay;
-    lp.shards = logger_shards;
-    lp.shard_index = s;
-    loggers.push_back(std::make_unique<EventLogger>(fabric, lp));
+  for (int s = 0; s < config.logger_shards; ++s) {
+    loggers.push_back(
+        std::make_unique<EventLogger>(fabric, logger_params(config, s)));
   }
 
   std::vector<Slot> slots(static_cast<std::size_t>(config.n));
@@ -68,26 +104,6 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
   std::atomic<bool> job_failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
-
-  auto params_for = [&](int rank, std::uint32_t incarnation) {
-    ProcessParams p;
-    p.rank = rank;
-    p.n = config.n;
-    p.protocol = config.protocol;
-    p.mode = config.mode;
-    p.eager_threshold = config.eager_threshold;
-    p.rollback_retry = config.rollback_retry;
-    p.rollback_retry_cap = config.rollback_retry_cap;
-    p.logger_endpoint =
-        uses_logger ? logger_shard_endpoint(config.n, rank, logger_shards)
-                    : -1;
-    p.ckpt_async = resolve_ckpt_async(config.ckpt_async);
-    p.replay_burst = config.replay_burst;
-    p.holdback_cap = config.holdback_cap;
-    p.trace = config.trace;
-    p.incarnation = incarnation;
-    return p;
-  };
 
   // One kill path shared by the wall-clock injector and the event-keyed
   // chaos schedule.  Poison-before-endpoint-kill ordering is load-bearing
@@ -149,7 +165,8 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
       slot.phase = "ctor";
       try {
         proc = std::make_shared<Process>(
-            fabric, store, params_for(rank, incarnation), recovering);
+            fabric, store, process_params(config, rank, incarnation),
+            recovering);
       } catch (...) {
         record_error(std::current_exception());
         return;
@@ -272,8 +289,7 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
   // worker pool under kCoop.  The injector and watchdog below stay plain
   // threads in both modes — they only poke atomics, locks, and WaitSets,
   // all of which are fiber-wakeup-safe from foreign threads.
-  const bool coop =
-      exec::resolve_exec_model(config.exec_model) == exec::ExecModel::kCoop;
+  const bool coop = config.exec_model == exec::ExecModel::kCoop;
   std::optional<exec::Scheduler> sched;
   std::vector<std::thread> threads;
   if (coop) {
@@ -293,36 +309,33 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
   // n ms, then every n ms after.
   std::thread watchdog;
   std::atomic<bool> watchdog_stop{false};
-  if (const char* env = std::getenv("WINDAR_STALL_DUMP_MS")) {
-    const double period = std::atof(env);
-    if (period > 0) {
-      watchdog = std::thread([&, period] {
-        double next = period;
-        while (!watchdog_stop.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          if (util::now_ms() - t0 < next) continue;
-          next += period;
-          const net::FabricStats fs = fabric.stats();
-          std::fprintf(stderr,
-                       "[windar stall dump @%.0fms] fabric sent=%llu "
-                       "delivered=%llu dropped_dead=%llu dropped_chaos=%llu\n",
-                       util::now_ms() - t0,
-                       static_cast<unsigned long long>(fs.packets_sent),
-                       static_cast<unsigned long long>(fs.packets_delivered),
-                       static_cast<unsigned long long>(fs.packets_dropped_dead),
-                       static_cast<unsigned long long>(fs.packets_dropped_chaos));
-          for (auto& slot : slots) {
-            std::scoped_lock lock(slot.mu);
-            if (slot.proc) {
-              std::fprintf(stderr, "  %s\n", slot.proc->debug_state().c_str());
-            } else {
-              std::fprintf(stderr, "  (rank slot empty, fn_done=%d, phase=%s)\n",
-                           slot.fn_done ? 1 : 0, slot.phase.load());
-            }
+  if (const int period = Process::stall_dump_period_ms(); period > 0) {
+    watchdog = std::thread([&, period] {
+      double next = period;
+      while (!watchdog_stop.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (util::now_ms() - t0 < next) continue;
+        next += period;
+        const net::FabricStats fs = fabric.stats();
+        std::fprintf(stderr,
+                     "[windar stall dump @%.0fms] fabric sent=%llu "
+                     "delivered=%llu dropped_dead=%llu dropped_chaos=%llu\n",
+                     util::now_ms() - t0,
+                     static_cast<unsigned long long>(fs.packets_sent),
+                     static_cast<unsigned long long>(fs.packets_delivered),
+                     static_cast<unsigned long long>(fs.packets_dropped_dead),
+                     static_cast<unsigned long long>(fs.packets_dropped_chaos));
+        for (auto& slot : slots) {
+          std::scoped_lock lock(slot.mu);
+          if (slot.proc) {
+            std::fprintf(stderr, "  %s\n", slot.proc->debug_state().c_str());
+          } else {
+            std::fprintf(stderr, "  (rank slot empty, fn_done=%d, phase=%s)\n",
+                         slot.fn_done ? 1 : 0, slot.phase.load());
           }
         }
-      });
-    }
+      }
+    });
   }
 
   // Fault injector: walks the (time-sorted) schedule on its own thread.
@@ -355,14 +368,9 @@ JobResult run_job(const JobConfig& config, const FtRankFn& fn) {
   const double t1 = util::now_ms();
 
   JobResult result;
+  result.config = config;
   result.wall_ms = t1 - t0;
-  for (auto& logger : loggers) {
-    logger->stop();  // stop first so in-flight commit rounds are counted
-    result.logger_batches += logger->batches();
-    result.logger_determinants += logger->stored_determinants();
-    result.logger_commit_rounds += logger->commit_rounds();
-    result.logger_acks += logger->acks_sent();
-  }
+  result.logger = stop_loggers(loggers);
   fabric.shutdown();
 
   if (first_error) std::rethrow_exception(first_error);

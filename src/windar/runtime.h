@@ -19,6 +19,7 @@
 #include "mp/comm.h"
 #include "net/latency.h"
 #include "windar/checkpoint.h"
+#include "windar/event_logger.h"
 #include "windar/metrics.h"
 #include "windar/process.h"
 #include "windar/trace.h"
@@ -36,8 +37,15 @@ namespace windar::ft {
 struct FaultEvent {
   int rank = 0;
   double at_ms = 0;
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
+/// One job's whole configuration, whichever runtime runs it.  The fields
+/// marked "0 resolves" / "-1 resolves" are sentinels that
+/// resolve_job_config() turns into concrete values (reading the WINDAR_*
+/// environment defaults); run_job and run_multiproc_job resolve once at job
+/// start and read only the result.
 struct JobConfig {
   int n = 4;
   ProtocolKind protocol = ProtocolKind::kTdi;
@@ -45,15 +53,17 @@ struct JobConfig {
   net::LatencyModel latency{};
   std::uint64_t seed = 1;
   // Fabric scheduler shards (dst % shards).  0 resolves the default:
-  // WINDAR_FABRIC_SHARDS if set, else min(4, hardware_concurrency).  Use 1
-  // for tests that need the single-scheduler global delivery order.
+  // WINDAR_FABRIC_SHARDS if set, else min(4, hardware_concurrency); clamped
+  // to the endpoint count.  Use 1 for tests that need the single-scheduler
+  // global delivery order.
   int fabric_shards = 0;
   // Supervisor execution model.  kThreads: one OS thread per rank (seed
   // behaviour).  kCoop: rank supervisors run as cooperative tasks on a fixed
   // exec::Scheduler pool of `exec_workers` threads (0 = default), and the
   // engine's helper loops run as fibers too — total thread count is bounded
   // by the pool, not by n, which is what lets a 4096-rank job run on 4
-  // cores.  kAuto defers to the WINDAR_EXEC environment variable.
+  // cores.  kAuto resolves the WINDAR_EXEC environment variable, and
+  // exec_workers = 0 resolves exec::Scheduler::default_workers().
   exec::ExecModel exec_model = exec::ExecModel::kAuto;
   int exec_workers = 0;
   std::vector<FaultEvent> faults;
@@ -73,7 +83,8 @@ struct JobConfig {
   std::chrono::microseconds logger_storage_delay{5};
   // TEL/PES event-logger shards (shard = sender rank % shards, endpoints
   // n..n+shards-1).  0 resolves the default: WINDAR_LOGGER_SHARDS if set,
-  // else 1 (the seed's single-logger deployment).  Clamped to n.
+  // else 1 (the seed's single-logger deployment).  Clamped to n; resolves to
+  // 0 for protocols without an event logger.
   int logger_shards = 0;
   std::string checkpoint_spill_dir;  // empty: in-memory stable store
   // Checkpoint plane knobs.  ckpt_async: -1 resolves the WINDAR_CKPT env
@@ -87,19 +98,32 @@ struct JobConfig {
   std::size_t replay_burst = 128;
   std::size_t holdback_cap = 512;
   TraceSink* trace = nullptr;        // optional causal-event recorder
+
+  bool operator==(const JobConfig&) const = default;
 };
 
+/// `config` with every sentinel resolved: exec_model, exec_workers,
+/// fabric_shards, logger_shards, ckpt_async and ckpt_delta_anchor come back
+/// concrete.  Idempotent.
+JobConfig resolve_job_config(JobConfig config);
+
+/// The engine parameters of `rank`'s `incarnation` in a job configured by
+/// `job`, which must already be resolved (resolve_job_config).
+ProcessParams process_params(const JobConfig& job, int rank,
+                             std::uint32_t incarnation);
+
+/// Parameters of event-logger shard `shard` in a resolved `job`.
+EventLogger::Params logger_params(const JobConfig& job, int shard);
+
 struct JobResult {
+  JobConfig config;                // the resolved configuration the job ran
   double wall_ms = 0;
   Metrics total;                   // merged over ranks and incarnations
   std::vector<Metrics> per_rank;   // merged over incarnations
   net::FabricStats fabric;
   CheckpointStoreStats checkpoints;
   std::uint64_t chaos_triggers_fired = 0;  // chaos events that fired
-  std::uint64_t logger_batches = 0;      // TEL/PES: kTelLog packets committed
-  std::uint64_t logger_determinants = 0; // TEL/PES (still stored at end)
-  std::uint64_t logger_commit_rounds = 0;  // storage-delay commits taken
-  std::uint64_t logger_acks = 0;           // kTelAck packets sent
+  LoggerStats logger;                      // TEL/PES, summed over shards
 };
 
 /// The application's handle: an mp::Comm (so collectives and the NPB

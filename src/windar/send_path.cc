@@ -28,38 +28,26 @@ void SendPath::start() {
   if (exec::Scheduler* sched =
           exec::Scheduler::on_task() ? exec::Scheduler::current() : nullptr) {
     // Cooperative mode: the engine was constructed on a rank task, so its
-    // helpers become sibling fibers on the same worker pool.
+    // helper becomes a sibling fiber on the same worker pool.
     recv_task_ = sched->spawn([this] { recv_loop(); });
-    if (params_.sender_thread) {
-      send_task_ = sched->spawn([this] { send_loop(); });
-    }
     return;
   }
   recv_thread_ = std::thread([this] { recv_loop(); });
-  if (params_.sender_thread) {
-    send_thread_ = std::thread([this] { send_loop(); });
-  }
 }
 
 void SendPath::stop() {
   closing_.store(true, std::memory_order_release);
-  queue_a_.poison();
   // Wake a receiver thread blocked on the inbox.  By teardown time the rank
   // is either dead (inbox already poisoned) or the job is over.
   transport_.endpoint(params_.rank).inbox().poison();
   if (cb_.wake) cb_.wake();
   if (recv_thread_.joinable()) recv_thread_.join();
-  if (send_thread_.joinable()) send_thread_.join();
   if (recv_task_.valid()) recv_task_.join();
-  if (send_task_.valid()) send_task_.join();
   recv_task_ = exec::TaskHandle{};
-  send_task_ = exec::TaskHandle{};
-  // Held packets die with the incarnation, exactly like queue A's.
+  // Held packets die with the incarnation.
   std::scoped_lock lock(hb_mu_);
   for (auto& q : holdback_) q.clear();
 }
-
-void SendPath::poison() { queue_a_.poison(); }
 
 void SendPath::pause_channel(int dst) {
   paused_[static_cast<std::size_t>(dst)].store(true, std::memory_order_release);
@@ -81,7 +69,7 @@ void SendPath::resume_channel(int dst) {
       metrics_.update([](Metrics& m) { ++m.suppressed_sends; });
     } else {
       metrics_.update([](Metrics& m) { ++m.app_transmitted; });
-      transmit(std::move(p));
+      transport_.send(std::move(p));
     }
   }
 }
@@ -111,23 +99,6 @@ bool SendPath::maybe_holdback(int dst, net::Packet& p) {
   }
   q.push_back(std::move(p));
   return true;
-}
-
-void SendPath::transmit(net::Packet p) {
-  if (params_.mode == SendMode::kNonBlocking && params_.sender_thread) {
-    if (!queue_a_.push(std::move(p))) {
-      // Queue A only rejects when it was poisoned, i.e. this rank is being
-      // torn down.  The send is lost with the incarnation — surface the
-      // teardown to the app thread now (Killed unwinds into recovery,
-      // JobAborted into job teardown) instead of letting it run on as if
-      // the message had left.  On a clean stop() the app function has
-      // already returned, so neither flag is set and there is no caller to
-      // unwind.
-      life_.throw_if_dead();
-    }
-  } else {
-    transport_.send(std::move(p));
-  }
 }
 
 void SendPath::send_control(int dst, Kind kind, std::uint64_t seq,
@@ -207,7 +178,7 @@ void SendPath::send_app(int dst, int tag,
     metrics_.update([](Metrics& m) { ++m.held_sends; });
   } else {
     metrics_.update([](Metrics& m) { ++m.app_transmitted; });
-    transmit(std::move(p));
+    transport_.send(std::move(p));
   }
 
   if (params_.mode == SendMode::kBlocking && !suppressed) {
@@ -265,12 +236,6 @@ void SendPath::recv_loop() {
     }
     cb_.periodic();
     if (wake) cb_.wake();
-  }
-}
-
-void SendPath::send_loop() {
-  while (auto p = queue_a_.pop()) {
-    transport_.send(std::move(*p));
   }
 }
 

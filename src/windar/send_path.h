@@ -3,13 +3,14 @@
 //   kBlocking     — the app thread transmits and then waits for the
 //                   receiver's acceptance ack, pumping its own inbox while
 //                   it waits (single-threaded MPICH-style sync sends).
-//   kNonBlocking  — sends are optionally buffered in queue A and transmitted
-//                   by a sender thread; a receiver thread drains the endpoint
-//                   inbox and dispatches packets; the app thread never blocks
-//                   on a peer, dead or alive.
+//   kNonBlocking  — the app thread hands packets to the transport, whose
+//                   send never blocks on a peer, dead or alive (the socket
+//                   transport's per-peer writer threads play the paper's
+//                   queue A); a receiver thread drains the endpoint inbox
+//                   and dispatches packets.
 //
-// SendPath owns both helper threads and the outgoing queue A, and carries
-// the full application send: index allocation, piggyback, sender logging,
+// SendPath owns the receiver helper and carries the full application send:
+// index allocation, piggyback, sender logging,
 // rolling-forward suppression, and the blocking-mode ack wait.  Packet
 // handling itself stays above (the Callbacks::dispatch hook) so exactly one
 // thread per engine dispatches — the receiver thread in non-blocking mode,
@@ -65,24 +66,20 @@ class SendPath {
 
   void set_callbacks(Callbacks cb) { cb_ = std::move(cb); }
 
-  /// Spawns the receiver (and optional sender) helper in non-blocking mode.
+  /// Spawns the receiver helper in non-blocking mode.
   /// Called once the whole engine is wired; no-op for blocking mode.  When
   /// the caller is itself a cooperative task (a rank supervisor under
   /// ExecModel::kCoop), the helpers are spawned as fibers on the same
   /// scheduler instead of OS threads, so per-rank thread cost stays zero.
   void start();
 
-  /// Stops and joins the helper threads/fibers (destructor path).
+  /// Stops and joins the helper thread/fiber (destructor path).
   void stop();
-
-  /// Fault injection: releases a sender thread blocked on queue A.
-  void poison();
 
   /// The full application-facing send (application thread only).
   void send_app(int dst, int tag, std::span<const std::uint8_t> payload);
 
-  /// Control-plane message: counted and sent straight to the fabric — it
-  /// must flow even while the sender thread is being torn down.
+  /// Control-plane message: counted and sent straight to the transport.
   void send_control(int dst, Kind kind, std::uint64_t seq,
                     util::Buffer payload);
 
@@ -102,10 +99,8 @@ class SendPath {
   void pump_once(Clock::time_point deadline);
 
  private:
-  void transmit(net::Packet p);  // queue A (sender thread) or direct
   bool maybe_holdback(int dst, net::Packet& p);
   void recv_loop();
-  void send_loop();
 
   net::Transport& transport_;
   const ProcessParams& params_;
@@ -117,7 +112,6 @@ class SendPath {
   Callbacks cb_;
 
   std::atomic<bool> closing_{false};
-  util::BlockingQueue<net::Packet> queue_a_;  // outgoing (paper's queue A)
   // Holdback plane (survivor non-stop recovery).  The paused flags are read
   // on every send without a lock; hb_mu_ guards the queues themselves and is
   // a leaf (taken from the app thread in send_app and the dispatch thread in
@@ -128,9 +122,7 @@ class SendPath {
   std::mutex hb_mu_;
   std::vector<std::vector<net::Packet>> holdback_;
   std::thread recv_thread_;
-  std::thread send_thread_;
-  exec::TaskHandle recv_task_;  // fiber-mode counterparts of the threads
-  exec::TaskHandle send_task_;
+  exec::TaskHandle recv_task_;  // fiber-mode counterpart of the thread
 
   static constexpr std::chrono::microseconds kTick{2000};
 };

@@ -72,7 +72,8 @@ enum class ProtocolKind {
 
 enum class SendMode {
   kBlocking,     // paper Fig. 4(a): app thread waits for receiver acceptance
-  kNonBlocking,  // paper Fig. 4(b): buffered queues + sender/receiver threads
+  kNonBlocking,  // paper Fig. 4(b): sends never wait; a receiver thread
+                 // drains and dispatches the inbox
 };
 
 inline std::string to_string(ProtocolKind k) {

@@ -321,22 +321,6 @@ TEST(Fabric, CutThroughKillStormAccountsEveryPacket) {
   }
 }
 
-TEST(Fabric, CutThroughDisableEnvKeepsShardPath) {
-  // WINDAR_FABRIC_CUTTHROUGH=0 must force the classic shard route even on a
-  // zero-latency fabric — the A/B escape hatch for bisects.
-  ::setenv("WINDAR_FABRIC_CUTTHROUGH", "0", 1);
-  {
-    Fabric f(2, LatencyModel{0ns, 0ns, 0ns}, 1, 1);
-    f.send(make(0, 1, 7));
-    auto p = f.endpoint(1).inbox().pop_until(
-        std::chrono::steady_clock::now() + 5s);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->seq, 7u);
-    EXPECT_TRUE(quiesced_stats(f).accounted());
-  }
-  ::unsetenv("WINDAR_FABRIC_CUTTHROUGH");
-}
-
 TEST(Fabric, KillDuringDeliveryStormAccountsEveryPacket) {
   // The lost-delivery miscount regression: a packet must never be counted
   // delivered and then vanish into a just-poisoned inbox.  Hammer endpoint 1

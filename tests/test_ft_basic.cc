@@ -114,7 +114,7 @@ TEST(FtBasic, TelLoggerReceivesDeterminants) {
                           util::coop_sleep_for(
                               std::chrono::milliseconds(10));
                         });
-  EXPECT_GT(result.logger_batches, 0u);
+  EXPECT_GT(result.logger.batches, 0u);
 }
 
 TEST(FtBasic, CheckpointAdvanceReleasesLogs) {

@@ -26,12 +26,12 @@ TEST(LoggerShards, ShardedTelMatchesSingleLoggerDigest) {
     const auto sharded =
         chaos::run_plan(plan, ProtocolKind::kTel, false, shards);
     EXPECT_EQ(sharded.digest, seed_run.digest) << "shards=" << shards;
-    EXPECT_GT(sharded.result.logger_batches, 0u);
-    EXPECT_GT(sharded.result.logger_commit_rounds, 0u);
+    EXPECT_GT(sharded.result.logger.batches, 0u);
+    EXPECT_GT(sharded.result.logger.commit_rounds, 0u);
     // Batched acks: one per affected rank per commit round, never one per
     // kTelLog packet, let alone one per determinant.
-    EXPECT_LE(sharded.result.logger_acks,
-              sharded.result.logger_commit_rounds *
+    EXPECT_LE(sharded.result.logger.acks,
+              sharded.result.logger.commit_rounds *
                   static_cast<std::uint64_t>(plan.n));
   }
 }
@@ -43,7 +43,7 @@ TEST(LoggerShards, PesRidesTheShardedLogger) {
   const auto sharded =
       chaos::run_plan(plan, ProtocolKind::kPes, false, /*logger_shards=*/2);
   EXPECT_EQ(sharded.digest, seed_run.digest);
-  EXPECT_GT(sharded.result.logger_commit_rounds, 0u);
+  EXPECT_GT(sharded.result.logger.commit_rounds, 0u);
 }
 
 TEST(LoggerShards, ShardCountClampsToJobSize) {

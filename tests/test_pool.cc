@@ -67,15 +67,6 @@ TEST_F(BlockPoolTest, CopiedRefKeepsBlockOutOfFreeList) {
   EXPECT_EQ(BlockPool::global().free_blocks(), 1u);
 }
 
-TEST_F(BlockPoolTest, DisabledPoolAllocatesFresh) {
-  BlockPool::global().set_enabled(false);
-  BlockRef a = BlockPool::global().acquire(512);
-  a.reset();
-  EXPECT_EQ(BlockPool::global().free_blocks(), 0u);
-  EXPECT_FALSE(BlockPool::global().acquire(512).recycled());
-  BlockPool::global().set_enabled(true);
-}
-
 TEST_F(BlockPoolTest, TrimFreesEverything) {
   for (int i = 0; i < 4; ++i) BlockPool::global().acquire(100).reset();
   EXPECT_GT(BlockPool::global().free_blocks(), 0u);

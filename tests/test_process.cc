@@ -197,7 +197,11 @@ TEST(Process, ManyRanksStress) {
 
 TEST(Process, CheckpointIncludesLogAndCounters) {
   JobConfig cfg = base(2);
-  cfg.faults = {{0, 8.0}};
+  // Commit the checkpoint on the application thread and kill rank 0 on its
+  // 15th delivery: always after the committed checkpoint at i == 10, so the
+  // incarnation restores it however fast or slow the host runs.
+  cfg.ckpt_async = 0;
+  cfg.chaos = {kill_on_delivery(0, 15)};
   // Rank 0 checkpoints BETWEEN its sends; after recovery, the pre-checkpoint
   // sends must not be replayed to rank 1 (they were delivered and their
   // indices are in the restored last_send counters).

@@ -93,7 +93,7 @@ TEST(Runtime, TelJobsReportLoggerActivity) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
-  EXPECT_GT(result.logger_batches, 0u);
+  EXPECT_GT(result.logger.batches, 0u);
 }
 
 TEST(Runtime, CheckpointStoreStatsFlow) {

@@ -119,12 +119,31 @@ TEST(SocketJob, ChaosSendKillConvergesWithEventLogger) {
   EXPECT_EQ(r.digest, sim_digest(4, ProtocolKind::kTel));
   EXPECT_GE(r.recoveries, 1u);
   // TEL routes determinants through the launcher-hosted event logger.
-  EXPECT_GT(r.logger_batches, 0u);
+  EXPECT_GT(r.logger.batches, 0u);
+}
+
+TEST(SocketJob, ForwardedCheckpointAndReplayKnobsConverge) {
+  // Synchronous commits, a short delta chain and tight survivor replay
+  // pacing all reach the workers; recovery under them still converges.
+  LaunchSpec spec = base_spec(4, ProtocolKind::kTdi);
+  spec.job.ckpt_async = 0;
+  spec.job.ckpt_delta_anchor = 2;
+  spec.job.replay_burst = 2;
+  spec.job.holdback_cap = 4;
+  spec.job.chaos = {kill_on_delivery(2, 6)};
+  const MultiProcResult r = run_multiproc_job(spec);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.digest, sim_digest(4, ProtocolKind::kTdi));
+  EXPECT_GE(r.recoveries, 1u);
+  EXPECT_EQ(r.config.ckpt_async, 0);
+  EXPECT_EQ(r.config.ckpt_delta_anchor, 2u);
 }
 
 TEST(SocketJob, OverlappingKillsConverge) {
   LaunchSpec spec = base_spec(5, ProtocolKind::kTdi);
-  spec.job.faults = {{1, 8.0}, {3, 12.0}};
+  // Two ranks die at the same protocol point (their 5th app delivery), so
+  // both kills fire mid-job however fast the host runs the ring.
+  spec.job.chaos = {kill_on_delivery(1, 5), kill_on_delivery(3, 5)};
   const MultiProcResult r = run_multiproc_job(spec);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.digest, sim_digest(5, ProtocolKind::kTdi));
