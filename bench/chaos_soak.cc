@@ -32,6 +32,7 @@
 #include "bench/common.h"
 #include "net/transport.h"
 #include "tests/chaos_app.h"
+#include "util/parse.h"
 #include "windar/launcher.h"
 
 namespace {
@@ -61,15 +62,20 @@ Options parse_args(int argc, char** argv) {
       return arg.c_str() + std::strlen(prefix);
     };
     if (arg.rfind("--schedules=", 0) == 0) {
-      opt.schedules = std::atoi(value("--schedules="));
+      opt.schedules = util::parse_number<int>(value("--schedules="),
+                                              "--schedules");
     } else if (arg.rfind("--seed0=", 0) == 0) {
-      opt.seed0 = std::strtoull(value("--seed0="), nullptr, 10);
+      opt.seed0 =
+          util::parse_number<std::uint64_t>(value("--seed0="), "--seed0");
     } else if (arg.rfind("--replay=", 0) == 0) {
-      opt.replay = std::strtoull(value("--replay="), nullptr, 10);
+      opt.replay =
+          util::parse_number<std::uint64_t>(value("--replay="), "--replay");
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      opt.timeout_ms = std::atof(value("--timeout-ms="));
+      opt.timeout_ms =
+          util::parse_number<double>(value("--timeout-ms="), "--timeout-ms");
     } else if (arg.rfind("--logger-shards=", 0) == 0) {
-      opt.logger_shards = std::atoi(value("--logger-shards="));
+      opt.logger_shards = util::parse_number<int>(value("--logger-shards="),
+                                                  "--logger-shards");
     } else if (arg.rfind("--exec=", 0) == 0) {
       if (!exec::parse_exec_model(value("--exec="), &opt.exec_model)) {
         std::fprintf(stderr, "unknown exec model '%s'\n", value("--exec="));
@@ -106,8 +112,12 @@ int soak_worker_main(int argc, char** argv) {
   int iters = 30;
   int ckpt = 5;
   for (const std::string& a : cfg.app_args) {
-    if (a.rfind("--iters=", 0) == 0) iters = std::atoi(a.c_str() + 8);
-    if (a.rfind("--ckpt=", 0) == 0) ckpt = std::atoi(a.c_str() + 7);
+    if (a.rfind("--iters=", 0) == 0) {
+      iters = util::parse_number<int>(a.substr(8), "--iters");
+    }
+    if (a.rfind("--ckpt=", 0) == 0) {
+      ckpt = util::parse_number<int>(a.substr(7), "--ckpt");
+    }
   }
   return run_worker(cfg, [iters, ckpt](Ctx& ctx) {
     return ft::chaos::ring_digest_rank(ctx, iters, ckpt);

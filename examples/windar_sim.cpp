@@ -23,6 +23,7 @@
 #include "net/transport.h"
 #include "npb/driver.h"
 #include "util/options.h"
+#include "util/parse.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/wait.h"
@@ -44,8 +45,8 @@ std::vector<ft::FaultEvent> parse_faults(const std::string& s) {
     const std::string item = s.substr(pos, comma - pos);
     const auto at = item.find('@');
     WINDAR_CHECK(at != std::string::npos) << "fault syntax is rank@ms";
-    out.push_back({std::atoi(item.substr(0, at).c_str()),
-                   std::atof(item.substr(at + 1).c_str())});
+    out.push_back({util::parse_number<int>(item.substr(0, at), "fault rank"),
+                   util::parse_number<double>(item.substr(at + 1), "fault ms")});
     pos = comma + 1;
   }
   return out;

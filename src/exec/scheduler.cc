@@ -16,6 +16,7 @@
 #include <queue>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -43,6 +44,7 @@
 
 #ifdef WINDAR_ASAN_FIBERS
 #include <pthread.h>
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef WINDAR_TSAN_FIBERS
@@ -106,7 +108,76 @@ struct Core {
     }
     cv.notify_one();
   }
+
+  /// Makes a woken task runnable: into the waker's hand-off slot when the
+  /// waker is a task on one of this core's workers, else the shared queue.
+  void wake(std::shared_ptr<Task> t);
 };
+
+namespace {
+
+/// A worker thread's own scheduling state; only that thread touches it.
+struct Worker {
+  FiberCtx ctx;  // the worker's scheduling context
+  // Hand-off slot (Go's runnext): the task most recently woken by the task
+  // running here, run as soon as that task parks instead of queueing
+  // behind every other runnable task.
+  std::shared_ptr<Task> next;
+};
+
+// Thread-local worker identity.  Set for the lifetime of a worker thread;
+// t_current is non-null exactly while a fiber is live on this thread.
+thread_local Scheduler* t_sched = nullptr;
+thread_local Worker* t_worker = nullptr;
+thread_local Task* t_current = nullptr;
+
+/// Longest run of hand-offs a worker takes before it serves the shared
+/// queue again, so two tasks waking each other cannot starve it.
+constexpr int kHandOffChain = 8;
+
+std::size_t page_size() {
+  static const std::size_t ps =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return ps;
+}
+
+constexpr std::size_t kDefaultStack = 256 * 1024;
+
+/// Process-wide free list of default-size fiber stacks, each keeping its
+/// PROT_NONE guard page.  Every job builds a fresh Scheduler, so the cache
+/// outlives them all (it is never destroyed).  spawn takes a stack from it
+/// before paying for mmap + mprotect; a finished task gives its stack back
+/// while fewer than kMaxStacks are cached.
+class StackCache {
+ public:
+  static constexpr std::size_t kMaxStacks = 1024;
+
+  static StackCache& instance() {
+    static StackCache* const cache = new StackCache;
+    return *cache;
+  }
+
+  void* take() {
+    std::scoped_lock lock(mu_);
+    if (free_.empty()) return nullptr;
+    void* base = free_.back();
+    free_.pop_back();
+    return base;
+  }
+
+  bool give(void* base) {
+    std::scoped_lock lock(mu_);
+    if (free_.size() >= kMaxStacks) return false;
+    free_.push_back(base);
+    return true;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<void*> free_;  // LIFO: the most recently used stack is warm
+};
+
+}  // namespace
 
 struct Task final : util::ParkHandle, std::enable_shared_from_this<Task> {
   std::shared_ptr<Core> core;
@@ -129,7 +200,10 @@ struct Task final : util::ParkHandle, std::enable_shared_from_this<Task> {
 
   void release_stack() {
     if (stack_base != nullptr) {
-      ::munmap(stack_base, stack_total);
+      if (stack_total != kDefaultStack + page_size() ||
+          !StackCache::instance().give(stack_base)) {
+        ::munmap(stack_base, stack_total);
+      }
       stack_base = nullptr;
     }
 #ifdef WINDAR_TSAN_FIBERS
@@ -156,7 +230,7 @@ struct Task final : util::ParkHandle, std::enable_shared_from_this<Task> {
         case State::kParked:
           if (state.compare_exchange_weak(s, State::kReady,
                                           std::memory_order_acq_rel)) {
-            core->push_ready(shared_from_this());
+            core->wake(shared_from_this());
             return;
           }
           break;
@@ -169,21 +243,17 @@ struct Task final : util::ParkHandle, std::enable_shared_from_this<Task> {
   }
 };
 
-namespace {
-
-// Thread-local worker identity.  Set for the lifetime of a worker thread;
-// g_current_task is non-null exactly while a fiber is live on this thread.
-thread_local Scheduler* t_sched = nullptr;
-thread_local FiberCtx* t_worker_ctx = nullptr;
-thread_local Task* t_current = nullptr;
-
-std::size_t page_size() {
-  static const std::size_t ps =
-      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  return ps;
+void Core::wake(std::shared_ptr<Task> t) {
+  if (t_current == nullptr || t_current->core.get() != this) {
+    push_ready(std::move(t));  // OS thread, timer promotion, other scheduler
+    return;
+  }
+  // A task already in the slot yields it to the newer wake and queues.
+  std::shared_ptr<Task> bumped = std::exchange(t_worker->next, std::move(t));
+  if (bumped) push_ready(std::move(bumped));
 }
 
-constexpr std::size_t kDefaultStack = 256 * 1024;
+namespace {
 
 #ifndef MAP_STACK
 #define MAP_STACK 0
@@ -226,7 +296,7 @@ void fiber_trampoline(unsigned hi, unsigned lo) {
   task->fn = nullptr;  // drop captures on the fiber, not at ~Task
   task->finished = true;
   // Final switch out; never returns.  The worker completes the bookkeeping.
-  switch_ctx(&task->ctx, t_worker_ctx, /*from_dying=*/true);
+  switch_ctx(&task->ctx, &t_worker->ctx, /*from_dying=*/true);
   std::abort();  // resumed a finished fiber — scheduler bug
 }
 
@@ -325,9 +395,9 @@ Scheduler::Scheduler(int workers) : core_(std::make_shared<Core>()) {
   for (int i = 0; i < workers; ++i) {
     core_->threads.emplace_back([this, core = core_] {
       detail::t_sched = this;
-      detail::FiberCtx worker_ctx;
+      detail::Worker w;
 #ifdef WINDAR_TSAN_FIBERS
-      worker_ctx.tsan_fiber = __tsan_get_current_fiber();
+      w.ctx.tsan_fiber = __tsan_get_current_fiber();
 #endif
 #ifdef WINDAR_ASAN_FIBERS
       {
@@ -338,14 +408,14 @@ Scheduler::Scheduler(int workers) : core_(std::make_shared<Core>()) {
           void* addr = nullptr;
           std::size_t sz = 0;
           if (pthread_attr_getstack(&attr, &addr, &sz) == 0) {
-            worker_ctx.stack_bottom = addr;
-            worker_ctx.stack_size = sz;
+            w.ctx.stack_bottom = addr;
+            w.ctx.stack_size = sz;
           }
           pthread_attr_destroy(&attr);
         }
       }
 #endif
-      detail::t_worker_ctx = &worker_ctx;
+      detail::t_worker = &w;
 
       std::unique_lock lock(core->mu);
       for (;;) {
@@ -369,8 +439,16 @@ Scheduler::Scheduler(int workers) : core_(std::make_shared<Core>()) {
           std::shared_ptr<Task> task = std::move(core->ready.front());
           core->ready.pop_front();
           lock.unlock();
-          run_task_on_worker(core.get(), &worker_ctx, std::move(task));
+          run_task_on_worker(core.get(), &w.ctx, std::move(task));
+          // Run what the task woke on its way out, then what that woke, up
+          // to kHandOffChain tasks, without touching the shared lock.
+          for (int chain = 0; w.next && chain < detail::kHandOffChain;
+               ++chain) {
+            run_task_on_worker(core.get(), &w.ctx, std::move(w.next));
+          }
           lock.lock();
+          // Chain cap reached: the slot's task queues like any other wake.
+          if (w.next) core->ready.push_back(std::move(w.next));
           continue;
         }
         if (core->stopping) break;
@@ -384,7 +462,7 @@ Scheduler::Scheduler(int workers) : core_(std::make_shared<Core>()) {
           core->cv.wait_until(lock, deadline);
         }
       }
-      detail::t_worker_ctx = nullptr;
+      detail::t_worker = nullptr;
       detail::t_sched = nullptr;
     });
   }
@@ -477,11 +555,21 @@ TaskHandle Scheduler::spawn(std::function<void()> fn, std::size_t stack_bytes) {
   task->fn = std::move(fn);
 
   task->stack_total = stack_bytes + ps;  // low guard page
-  void* base = ::mmap(nullptr, task->stack_total, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  WINDAR_CHECK(base != MAP_FAILED) << "task stack mmap failed";
+  void* base = stack_bytes == detail::kDefaultStack
+                   ? detail::StackCache::instance().take()
+                   : nullptr;
+  if (base == nullptr) {
+    base = ::mmap(nullptr, task->stack_total, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    WINDAR_CHECK(base != MAP_FAILED) << "task stack mmap failed";
+    WINDAR_CHECK(::mprotect(base, ps, PROT_NONE) == 0)
+        << "stack guard mprotect";
+  }
+#ifdef WINDAR_ASAN_FIBERS
+  // A reused stack's previous fiber died with its frames' redzones poisoned.
+  ASAN_UNPOISON_MEMORY_REGION(static_cast<char*>(base) + ps, stack_bytes);
+#endif
   task->stack_base = base;
-  WINDAR_CHECK(::mprotect(base, ps, PROT_NONE) == 0) << "stack guard mprotect";
   task->ctx.stack_bottom = static_cast<char*>(base) + ps;
   task->ctx.stack_size = stack_bytes;
 #ifdef WINDAR_TSAN_FIBERS
@@ -551,7 +639,7 @@ void Scheduler::park_until(std::chrono::steady_clock::time_point deadline) {
     task->state.store(State::kRunning, std::memory_order_release);
     return;
   }
-  detail::switch_ctx(&task->ctx, detail::t_worker_ctx, /*from_dying=*/false);
+  detail::switch_ctx(&task->ctx, &detail::t_worker->ctx, /*from_dying=*/false);
   // Resumed by some worker, possibly a different one: refresh nothing here —
   // run_task_on_worker already reset the thread-locals and our state.
 }

@@ -7,7 +7,8 @@
 // and the kernel scheduler thrashes on thousands of mostly-blocked threads.
 // Under exec::Scheduler a rank is a Task: a ucontext fiber with its own
 // mmap'd stack (guard page at the low end), run by whichever worker picks it
-// off the ready queue.  Every blocking point in the stack — BlockingQueue
+// off the ready queue — or, when another task woke it, next on that task's
+// worker (a hand-off slot, capped so it cannot starve the queue).  Every blocking point in the stack — BlockingQueue
 // pops, DeliveryQueue waits, restart-delay sleeps, collectives (which bottom
 // out in the former two) — routes through util::WaitSet / util::coop_*,
 // which park the task (switch back to the worker's scheduling context)
@@ -105,7 +106,8 @@ class Scheduler {
 
   /// Schedules `fn` as a new task.  Callable from any thread, including from
   /// inside a task (helper fibers).  `stack_bytes` 0 picks the default
-  /// (256 KiB of lazily-committed address space + guard page).
+  /// (256 KiB of lazily-committed address space + guard page); stacks of
+  /// that size are reused across schedulers through a process-wide cache.
   TaskHandle spawn(std::function<void()> fn, std::size_t stack_bytes = 0);
 
   /// Blocks the calling OS thread (not a worker) until every task spawned so

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace windar::util {
 
@@ -43,21 +44,24 @@ std::int64_t Options::integer(const std::string& name, std::int64_t def,
                               const std::string& help) {
   decls_.push_back({name, std::to_string(def), help});
   const std::string* v = find(name);
-  return v ? std::strtoll(v->c_str(), nullptr, 10) : def;
+  return v ? parse_number<std::int64_t>(*v, "--" + name) : def;
 }
 
 double Options::real(const std::string& name, double def,
                      const std::string& help) {
   decls_.push_back({name, std::to_string(def), help});
   const std::string* v = find(name);
-  return v ? std::strtod(v->c_str(), nullptr) : def;
+  return v ? parse_number<double>(*v, "--" + name) : def;
 }
 
 bool Options::flag(const std::string& name, bool def, const std::string& help) {
   decls_.push_back({name, def ? "true" : "false", help});
   const std::string* v = find(name);
   if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  WINDAR_CHECK(*v == "false" || *v == "0" || *v == "no")
+      << "malformed --" << name << "='" << *v << "'";
+  return false;
 }
 
 std::vector<int> Options::int_list(const std::string& name,
@@ -76,7 +80,8 @@ std::vector<int> Options::int_list(const std::string& name,
   while (pos < v->size()) {
     auto comma = v->find(',', pos);
     if (comma == std::string::npos) comma = v->size();
-    out.push_back(std::atoi(v->substr(pos, comma - pos).c_str()));
+    out.push_back(parse_number<int>(
+        std::string_view(*v).substr(pos, comma - pos), "--" + name));
     pos = comma + 1;
   }
   return out;

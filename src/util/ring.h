@@ -11,10 +11,14 @@
 //
 // Blocking follows the repo-wide wait contract (util/wait.h): waits go
 // through util::WaitSet, so a consumer may be an OS thread or a cooperative
-// fiber, and every wait is tick-bounded — a notify that races a registering
-// waiter costs one 1 ms tick, never a hang.  Notifies are skipped entirely
-// while no waiter is registered (the steady-state case), so a push is CAS +
-// store + one atomic load.
+// fiber, and every wait is bounded.  Consumer wakeups are exact: the
+// consumer arms a flag before every predicate check, and a producer whose
+// push lands on an armed ring takes the arm and notifies, serialised with
+// the check through the wait mutex, so no push is ever missed.  The 100 ms
+// consumer slice is a safety net only; slice expiries that find the ring
+// non-empty are counted (missed_wakes(), 0 when the protocol holds).  A push
+// to an unarmed ring is a CAS + store + one atomic load.  Producers blocked
+// on a full ring keep a 1 ms tick.
 //
 // Capacity is a backpressure bound, not a drop policy: push() to a full ring
 // blocks until the consumer frees a slot or the ring is poisoned.  Poison
@@ -25,9 +29,11 @@
 // rides on is the same: push() returns true iff the element was accepted.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -172,13 +178,20 @@ class MpscRing {
         if (poisoned_.load(std::memory_order_acquire)) return std::nullopt;
         return take_locked();
       }
-      const auto slice = deadline < now + kTick ? deadline : now + kTick;
+      const auto slice = std::min(deadline, now + kSafetySlice);
       std::unique_lock lock(wmu_);
-      cons_waiting_.fetch_add(1, std::memory_order_release);
-      cons_cv_.wait_until(lock, slice, [&] {
-        return poisoned_.load(std::memory_order_acquire) || !empty_estimate();
+      const bool ready = cons_cv_.wait_until(lock, slice, [&] {
+        // Re-arm before every check, not once per wait: a wakeup that finds
+        // the ring still empty (a late notify, a stray unpark) re-parks the
+        // consumer, and it must park armed or the next push skips it.
+        cons_armed_.store(true, std::memory_order_seq_cst);
+        return poisoned_.load(std::memory_order_seq_cst) ||
+               tail_.load(std::memory_order_seq_cst) !=
+                   head_pub_.load(std::memory_order_acquire);
       });
-      cons_waiting_.fetch_sub(1, std::memory_order_release);
+      if (ready && slice < deadline && Clock::now() >= slice) {
+        missed_wakes_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
 
@@ -210,8 +223,11 @@ class MpscRing {
   /// Marks the ring dead: queued items are discarded, all blocked producers
   /// and consumers wake, future pushes return false and pops nullopt.
   void poison() {
-    poisoned_.store(true, std::memory_order_release);
+    poisoned_.store(true, std::memory_order_seq_cst);
     drain();
+    // Serialise with the waiters' predicate checks (made under wmu_): each
+    // one either saw the poison or is parked and gets the notify.
+    { std::scoped_lock lock(wmu_); }
     prod_cv_.notify_all();
     cons_cv_.notify_all();
   }
@@ -240,12 +256,17 @@ class MpscRing {
 
   bool empty() const { return size() == 0; }
 
+  /// Consumer slices that expired with an item already queued: a wakeup the
+  /// exact-wake protocol lost.  Stays 0 unless that protocol is broken.
+  std::uint64_t missed_wakes() const {
+    return missed_wakes_.load(std::memory_order_relaxed);
+  }
+
  private:
+  /// Producers blocked on a full ring re-check this often.
   static constexpr std::chrono::milliseconds kTick{1};
-  /// wake_consumer() notifies only when the queued depth is at most this —
-  /// a blocked consumer implies a (near-)empty ring, so deeper pushes are
-  /// waking a thread that is already on its way.
-  static constexpr std::size_t kConsWakeDepth = 8;
+  /// A blocked consumer re-checks this often although every push wakes it.
+  static constexpr std::chrono::milliseconds kSafetySlice{100};
 
   struct Slot {
     std::atomic<std::size_t> seq;
@@ -264,7 +285,9 @@ class MpscRing {
       const std::ptrdiff_t diff =
           static_cast<std::ptrdiff_t>(seq) - static_cast<std::ptrdiff_t>(pos);
       if (diff == 0) {
+        // seq_cst: the claim pairs with the consumer's arm (wake_consumer).
         if (tail_.compare_exchange_weak(pos, pos + 1,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
           new (s.storage) T(std::move(item));
           s.seq.store(pos + 1, std::memory_order_release);
@@ -317,33 +340,26 @@ class MpscRing {
     }
   }
 
-  // Estimates for wait predicates: racy by design, corrected by the tick
-  // bound and the final locked re-check in the pop/push loops.
-  bool empty_estimate() const {
-    return tail_.load(std::memory_order_acquire) ==
-           head_pub_.load(std::memory_order_acquire);
-  }
+  // Estimate for the producers' wait predicate: racy by design, corrected by
+  // the tick bound and the retry in the push loops.
   bool full_estimate() const {
     return tail_.load(std::memory_order_acquire) -
                head_pub_.load(std::memory_order_acquire) >
            mask_;
   }
 
+  /// Called after every accepted push.  The tail claim in try_push and the
+  /// consumer's arm store and tail load are all seq_cst (Dekker): either
+  /// the consumer's check saw our tail, or we see its arm here.  Taking the
+  /// arm elects one notifier per armed wait, and locking wmu_ before the
+  /// notify orders it after the consumer has parked (registered in
+  /// cons_cv_) or has left its check.  A seq_cst CAS costs a relaxed one on
+  /// x86, so the unarmed fast path adds no fence.
   void wake_consumer() {
-    if (cons_waiting_.load(std::memory_order_acquire) == 0) return;
-    // The consumer can only be *blocked* while the ring is empty (its wait
-    // predicate re-checks before sleeping), so the push that matters is the
-    // one landing in a near-empty ring.  cons_waiting_ stays raised while a
-    // woken consumer sits in the run queue, though — without the depth
-    // gate every push in that window would pay a futex syscall for a
-    // thread that no longer needs waking.  The small threshold covers the
-    // registration race around the first few pushes; anything the gate
-    // skips is caught by the consumer's 1 ms tick.
-    if (tail_.load(std::memory_order_acquire) -
-            head_pub_.load(std::memory_order_acquire) <=
-        kConsWakeDepth) {
-      cons_cv_.notify_all();
-    }
+    if (!cons_armed_.load(std::memory_order_seq_cst)) return;
+    if (!cons_armed_.exchange(false, std::memory_order_acq_rel)) return;
+    { std::scoped_lock lock(wmu_); }
+    cons_cv_.notify_all();
   }
   /// Caller holds cmu_ (single consumer side: take_locked / drain).
   void wake_producers() {
@@ -386,7 +402,8 @@ class MpscRing {
   WaitSet prod_cv_;
   WaitSet cons_cv_;
   std::atomic<int> prod_waiting_{0};
-  std::atomic<int> cons_waiting_{0};
+  std::atomic<bool> cons_armed_{false};
+  std::atomic<std::uint64_t> missed_wakes_{0};
 };
 
 }  // namespace windar::util

@@ -31,6 +31,10 @@
 // gate atomic) can race a registering waiter exactly like they can race a
 // thread entering condition_variable::wait — which is why every wait in the
 // engine is deadline-bounded: a lost wakeup costs one tick, never a hang.
+// A notifier that instead orders itself against the waiter's check (the
+// inbox ring's armed flag plus a lock/unlock of the predicate mutex before
+// notifying, util/ring.h) loses no wakeup at all; its bound is then a long
+// safety slice rather than a tick on the latency path.
 #pragma once
 
 #include <atomic>

@@ -1,11 +1,15 @@
 // Unit tests for the cooperative rank scheduler (exec/scheduler.h) and its
 // interplay with the WaitSet-backed blocking primitives.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -295,6 +299,102 @@ TEST(Scheduler, StressPingPong) {
   });
   sched.join_all();
   EXPECT_GE(rounds.load(), 250);
+}
+
+TEST(Scheduler, HandOffRunsWokenTaskNext) {
+  // A task woken by the task running on its worker runs as soon as that
+  // task parks, ahead of the tasks already queued.
+  Scheduler sched(1);
+  std::mutex mu;
+  util::WaitSet ws;
+  bool go = false;
+  std::vector<std::string> order;
+  sched.spawn([&] {
+    std::unique_lock lock(mu);
+    ws.wait(lock, [&] { return go; });
+    order.push_back("woken");
+  });
+  sched.spawn([&] {
+    for (int i = 0; i < 4; ++i) {
+      Scheduler::current()->spawn([&] {
+        std::scoped_lock lock(mu);
+        order.push_back("queued");
+      });
+    }
+    {
+      std::scoped_lock lock(mu);
+      go = true;
+      order.push_back("waker");
+    }
+    ws.notify_all();
+  });
+  sched.join_all();
+  ASSERT_EQ(order.size(), 6u);
+  EXPECT_EQ(order[0], "waker");
+  EXPECT_EQ(order[1], "woken");
+}
+
+TEST(Scheduler, HandOffChainCannotStarveQueue) {
+  // Two tasks passing a turn back and forth hand off to each other on every
+  // pass; a third task queued behind them must still run within a few
+  // passes, not after the pair gives up.
+  constexpr int kPassLimit = 100000;
+  Scheduler sched(1);
+  std::mutex mu;
+  util::WaitSet ws;
+  int turn = 0;
+  int passes = 0;
+  bool stop = false;
+  int passes_seen_by_third = -1;
+  auto player = [&](int me) {
+    std::unique_lock lock(mu);
+    for (;;) {
+      ws.wait(lock, [&] { return stop || turn == me; });
+      if (stop || passes >= kPassLimit) break;
+      turn = 1 - me;
+      ++passes;
+      ws.notify_all();
+    }
+    stop = true;
+    ws.notify_all();
+  };
+  sched.spawn([&] { player(0); });
+  sched.spawn([&] { player(1); });
+  sched.spawn([&] {
+    {
+      std::scoped_lock lock(mu);
+      passes_seen_by_third = passes;
+      stop = true;
+    }
+    ws.notify_all();
+  });
+  sched.join_all();
+  EXPECT_GE(passes_seen_by_third, 0);
+  EXPECT_LT(passes_seen_by_third, 100);
+}
+
+TEST(Scheduler, StackCacheReusesStacksAcrossSchedulers) {
+  // A finished task's stack outlives its scheduler and serves the next
+  // spawn, even when the address range a fresh mmap would pick is taken.
+  auto frame_of_one_task = [] {
+    std::uintptr_t frame = 0;
+    Scheduler sched(1);
+    sched.spawn([&] {
+      frame = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    });
+    sched.join_all();
+    return frame;
+  };
+  const std::uintptr_t first = frame_of_one_task();
+  const std::size_t stack_bytes =
+      256 * 1024 + static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  void* squatter = ::mmap(nullptr, stack_bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(squatter, MAP_FAILED);
+  const std::uintptr_t second = frame_of_one_task();
+  ::munmap(squatter, stack_bytes);
+  ASSERT_NE(first, 0u);
+  EXPECT_EQ(first, second);
 }
 
 TEST(WaitSet, NotifyWakesThreadAndTaskWaiters) {

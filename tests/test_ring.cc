@@ -3,12 +3,16 @@
 // concurrent-producer contract (the TSan target).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
+#include "exec/scheduler.h"
 #include "util/ring.h"
 
 namespace windar::util {
@@ -299,6 +303,49 @@ TEST(MpscRing, ConcurrentProducersDeliverEverythingInPerProducerOrder) {
   for (int p = 0; p < kProducers; ++p) {
     EXPECT_EQ(last_seen[static_cast<std::size_t>(p)], kPerProducer - 1);
   }
+}
+
+TEST(MpscRing, FiberConsumerIsWokenByEveryPush) {
+  // Exact consumer wakeups under contention: a fiber consumer blocked in
+  // pop() and four producer threads pushing with random gaps, so the
+  // consumer keeps emptying the ring and parking.  Only pushes wake it, so
+  // a lost wakeup sleeps out the 100 ms safety slice: every item must
+  // arrive well inside it, and no slice may expire with an item queued.
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 25000;
+  using Clock = std::chrono::steady_clock;
+  MpscRing<Clock::time_point> r(64);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&r, p] {
+      std::mt19937 rng(static_cast<unsigned>(p) + 1);
+      for (int i = 0; i < kPerProducer; ++i) {
+        const unsigned gap = rng() % 64;
+        if (gap < 8) {
+          std::this_thread::sleep_for(std::chrono::microseconds(gap * 10));
+        } else if (gap < 16) {
+          std::this_thread::yield();
+        }
+        ASSERT_TRUE(r.push(Clock::now()));
+      }
+    });
+  }
+  Clock::duration worst{};
+  int received = 0;
+  exec::Scheduler sched(1);
+  sched.spawn([&] {
+    while (received < kProducers * kPerProducer) {
+      auto sent = r.pop();
+      ASSERT_TRUE(sent.has_value());
+      worst = std::max(worst, Clock::now() - *sent);
+      ++received;
+    }
+  });
+  sched.join_all();
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(received, kProducers * kPerProducer);
+  EXPECT_LT(worst, 50ms);
+  EXPECT_EQ(r.missed_wakes(), 0u);
 }
 
 TEST(MpscRing, ConcurrentProducersSurvivePoisonMidStream) {

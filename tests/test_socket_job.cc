@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "chaos_app.h"
+#include "util/parse.h"
 #include "util/wait.h"
 #include "windar/launcher.h"
 
@@ -161,9 +162,16 @@ int main(int argc, char** argv) {
     int ckpt = 4;
     int hold_ms = 0;  // rank 0 sleeps this long before the ring starts
     for (const std::string& a : cfg.app_args) {
-      if (a.rfind("--iters=", 0) == 0) iters = std::atoi(a.c_str() + 8);
-      if (a.rfind("--ckpt=", 0) == 0) ckpt = std::atoi(a.c_str() + 7);
-      if (a.rfind("--hold-ms=", 0) == 0) hold_ms = std::atoi(a.c_str() + 10);
+      using windar::util::parse_number;
+      if (a.rfind("--iters=", 0) == 0) {
+        iters = parse_number<int>(a.substr(8), "--iters");
+      }
+      if (a.rfind("--ckpt=", 0) == 0) {
+        ckpt = parse_number<int>(a.substr(7), "--ckpt");
+      }
+      if (a.rfind("--hold-ms=", 0) == 0) {
+        hold_ms = parse_number<int>(a.substr(10), "--hold-ms");
+      }
     }
     return windar::ft::run_worker(
         cfg, [iters, ckpt, hold_ms](windar::ft::Ctx& ctx) {

@@ -68,6 +68,43 @@ TEST(OptionsDeath, UnknownOptionExits) {
       ::testing::ExitedWithCode(2), "unknown option");
 }
 
+TEST(Options, NumbersParseWhole) {
+  auto o = make({"--k=-3", "--x=1e-3", "--seconds=29.5", "--f=no"});
+  EXPECT_EQ(o.integer("k", 0), -3);
+  EXPECT_DOUBLE_EQ(o.real("x", 0), 1e-3);
+  EXPECT_DOUBLE_EQ(o.real("seconds", 0), 29.5);
+  EXPECT_FALSE(o.flag("f", true));
+  o.finish();
+}
+
+TEST(OptionsDeath, MalformedValueAbortsNamingTheFlag) {
+  // A malformed number must fail, never become 0 or a truncated prefix.
+  const struct {
+    const char* arg;
+    const char* message;
+  } cases[] = {
+      {"--rounds=abc", "malformed --rounds='abc'"},
+      {"--rounds=4x", "malformed --rounds='4x'"},
+      {"--rounds=", "malformed --rounds=''"},
+      {"--seconds=fast", "malformed --seconds='fast'"},
+      {"--ranks=4,x,8", "malformed --ranks='x'"},
+      {"--ranks=4,,8", "malformed --ranks=''"},
+      {"--csv=maybe", "malformed --csv='maybe'"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_DEATH(
+        {
+          auto o = make({c.arg});
+          (void)o.integer("rounds", 1);
+          (void)o.real("seconds", 1);
+          (void)o.int_list("ranks", {1});
+          (void)o.flag("csv", false);
+        },
+        c.message)
+        << c.arg;
+  }
+}
+
 TEST(Table, PrintsAlignedAndCsv) {
   Table t({"a", "long header", "c"});
   t.row({"1", "2", "3"}).row({"wide cell", "x", "y"});
