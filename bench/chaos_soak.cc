@@ -11,6 +11,10 @@
 //
 //   chaos_soak --replay=1017
 //
+// The summary's qb_peak column is the deepest queue B (messages parked
+// awaiting delivery, Metrics::queue_b_peak) that any rank reached in the
+// protocol's faulty runs; socket runs do not report it.
+//
 // --transport=socket runs every faulty schedule as real OS processes over
 // Unix-domain sockets: chaos kills become actual SIGKILLs and recovery is
 // driven by respawned incarnations restoring from disk checkpoints
@@ -23,6 +27,7 @@
 // --timeout-ms the driver prints "FAIL seed=... (hang)" and exits nonzero,
 // leaving the seed on stdout for replay.  Exit status: 0 iff every run
 // converged.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,6 +108,7 @@ struct Tally {
   std::uint64_t triggers = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t rollback_broadcasts = 0;
+  std::uint64_t queue_b_peak = 0;  // deepest queue B of any rank and run
 };
 
 // Socket-mode worker entry: the launcher re-execs this binary with
@@ -149,8 +155,9 @@ int main(int argc, char** argv) {
   bench::Watchdog watchdog(opt.timeout_ms * (socket ? 2 : 1));
 
   int failures = 0;
-  std::printf("%-10s %-6s %-9s %-9s %-9s %-8s %s\n", "protocol", "runs",
-              "diverged", "triggers", "recov", "rb_bcast", "status");
+  std::printf("%-10s %-6s %-9s %-9s %-9s %-8s %-7s %s\n", "protocol", "runs",
+              "diverged", "triggers", "recov", "rb_bcast", "qb_peak",
+              "status");
   for (const ProtocolKind proto : opt.protocols) {
     const std::string pname = to_string(proto);
     Tally tally;
@@ -169,6 +176,7 @@ int main(int argc, char** argv) {
       std::uint64_t triggers = 0;
       std::uint64_t recoveries = 0;
       std::uint64_t rollback_broadcasts = 0;
+      std::uint64_t queue_b_peak = 0;
       bool run_ok = true;
       std::string run_error;
       if (socket) {
@@ -187,12 +195,14 @@ int main(int argc, char** argv) {
         triggers = faulty.result.chaos_triggers_fired;
         recoveries = faulty.result.total.recoveries;
         rollback_broadcasts = faulty.result.total.rollback_broadcasts;
+        queue_b_peak = faulty.result.total.queue_b_peak;
       }
       watchdog.disarm();
       ++tally.runs;
       tally.triggers += triggers;
       tally.recoveries += recoveries;
       tally.rollback_broadcasts += rollback_broadcasts;
+      tally.queue_b_peak = std::max(tally.queue_b_peak, queue_b_peak);
       if (!run_ok || clean.digest != faulty_digest) {
         ++tally.divergences;
         ++failures;
@@ -215,11 +225,12 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(recoveries));
       }
     }
-    std::printf("%-10s %-6d %-9d %-9llu %-9llu %-8llu %s\n", pname.c_str(),
-                tally.runs, tally.divergences,
+    std::printf("%-10s %-6d %-9d %-9llu %-9llu %-8llu %-7llu %s\n",
+                pname.c_str(), tally.runs, tally.divergences,
                 static_cast<unsigned long long>(tally.triggers),
                 static_cast<unsigned long long>(tally.recoveries),
                 static_cast<unsigned long long>(tally.rollback_broadcasts),
+                static_cast<unsigned long long>(tally.queue_b_peak),
                 tally.divergences == 0 ? "ok" : "DIVERGED");
     std::fflush(stdout);
   }

@@ -7,7 +7,8 @@
 //     determinants") that TAG and TEL embed in their piggybacks and that
 //     kTelLog / kTelQueryReply carry as their whole payload;
 //   * the RESPONSE body (Algorithm 1 line 48): the survivor's deliver
-//     watermark for the recovering rank followed by a determinant block.
+//     watermark for the recovering rank, the ROLLBACK epoch it answers, and
+//     a determinant block.
 //
 // Lives apart from wire.h because determinant.h already includes wire.h.
 #pragma once
@@ -58,11 +59,15 @@ void read_determinant_block(util::ByteReader& r, F&& f) {
 /// RESPONSE payload: what one survivor tells a recovering peer.
 struct ResponseBody {
   SeqNo their_deliver_of_mine = 0;  // survivor's last_deliver for the peer
+  // Incarnation of the recovering rank whose ROLLBACK this answers; only
+  // that incarnation counts the RESPONSE toward its gather.
+  std::uint32_t rollback_epoch = 0;
   std::vector<Determinant> determinants;
 
   util::Buffer encode() const {
     util::ByteWriter w;
     w.u32(their_deliver_of_mine);
+    w.u32(rollback_epoch);
     write_determinants(w, determinants);
     return util::take_buffer(w);
   }
@@ -71,6 +76,7 @@ struct ResponseBody {
     util::ByteReader r(payload);
     ResponseBody body;
     body.their_deliver_of_mine = r.u32();
+    body.rollback_epoch = r.u32();
     body.determinants = read_determinants(r);
     return body;
   }

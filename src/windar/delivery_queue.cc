@@ -67,7 +67,7 @@ void DeliveryQueue::admit(net::Packet&& p) {
     m.eager_acked = true;
   }
   lane->insert(at, std::move(q));
-  ++parked_;
+  parked_peak_ = std::max(parked_peak_, ++parked_);
 }
 
 int DeliveryQueue::find_locked(int src, int tag) const {
@@ -202,6 +202,11 @@ void DeliveryQueue::notify() { cv_.notify_all(); }
 std::size_t DeliveryQueue::depth() const {
   std::scoped_lock lock(mu_);
   return parked_;
+}
+
+std::size_t DeliveryQueue::peak() const {
+  std::scoped_lock lock(mu_);
+  return parked_peak_;
 }
 
 std::string DeliveryQueue::debug_string() const {

@@ -86,6 +86,8 @@ class DeliveryQueue {
   void notify();
 
   std::size_t depth() const;
+  /// Highest depth() reached since construction (Metrics::queue_b_peak).
+  std::size_t peak() const;
   std::string debug_string() const;
 
  private:
@@ -116,6 +118,7 @@ class DeliveryQueue {
   using Lane = std::deque<Parked>;  // sorted by send_index, no duplicates
   std::vector<std::unique_ptr<Lane>> lanes_;  // by source; null until used
   std::size_t parked_ = 0;
+  std::size_t parked_peak_ = 0;
   std::uint64_t arrivals_ = 0;
 
   static constexpr int kNone = -1;

@@ -22,6 +22,7 @@
 
 #include "net/chaos.h"
 #include "util/rng.h"
+#include "windar/params.h"
 #include "windar/wire.h"
 
 namespace windar::ft {
@@ -138,13 +139,17 @@ struct ChaosPlan {
   int n = 4;                 // ranks
   int iterations = 30;       // app iterations
   int checkpoint_every = 5;  // app checkpoint cadence
+  // Survivors' replay pacing (ProcessParams::replay_burst); 1 sends every
+  // ROLLBACK answer longer than one message through the paced path.
+  std::size_t replay_burst = ProcessParams{}.replay_burst;
   std::vector<net::ChaosEvent> events;
 
   std::string describe() const {
     std::string out = "seed=" + std::to_string(seed) +
                       " n=" + std::to_string(n) +
                       " iters=" + std::to_string(iterations) +
-                      " ckpt=" + std::to_string(checkpoint_every);
+                      " ckpt=" + std::to_string(checkpoint_every) +
+                      " burst=" + std::to_string(replay_burst);
     for (const auto& ev : events) {
       out += " [";
       out += ev.action == net::ChaosEvent::Action::kKill        ? "kill"
@@ -165,9 +170,11 @@ struct ChaosPlan {
 
 /// Derives a randomized plan from `seed`: 3-5 ranks, 1-3 kills keyed to
 /// delivery counts or control-plane sends (mid-resend / mid-checkpoint /
-/// mid-recovery), optionally held-down incarnations, plus up to two
-/// control-packet duplication/delay events.  Every scenario must converge
-/// to the failure-free digest; the soak drivers assert exactly that.
+/// mid-recovery), optionally held-down incarnations, up to two
+/// control-packet duplication/delay events, and — as the last draw, so the
+/// events of a seed never depend on it — paced replay (replay_burst 1) in
+/// about half the plans.  Every scenario must converge to the failure-free
+/// digest; the soak drivers assert exactly that.
 inline ChaosPlan make_chaos_plan(std::uint64_t seed) {
   util::Rng rng(seed);
   ChaosPlan plan;
@@ -217,6 +224,7 @@ inline ChaosPlan make_chaos_plan(std::uint64_t seed) {
                                           /*repeat=*/true));
     }
   }
+  if (rng.next_below(2) == 0) plan.replay_burst = 1;
   return plan;
 }
 

@@ -137,7 +137,6 @@ void for_each_worker_flag(Config& w, Visit&& visit) {
   visit("ckpt-async", w.job.ckpt_async);
   visit("ckpt-anchor", w.job.ckpt_delta_anchor);
   visit("replay-burst", w.job.replay_burst);
-  visit("holdback-cap", w.job.holdback_cap);
 }
 
 template <typename T>

@@ -119,13 +119,13 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn);
 struct LaunchSpec {
   /// Job shape, resolved once by the launcher.  Forwarded to every worker:
   /// n, protocol, mode, seed, eager_threshold, rollback_retry/cap,
-  /// logger_shards, ckpt_async, ckpt_delta_anchor, replay_burst,
-  /// holdback_cap, chaos.  Used by the launcher itself: restart_delay_ms,
-  /// logger_storage_delay, faults (wall-clock SIGKILLs).  Ignored, as they
-  /// cannot apply to separate processes: latency (the sockets are real),
-  /// fabric_shards and exec_* (no in-process fabric or scheduler), trace (a
-  /// recorder spans one address space), checkpoint_spill_dir (the job
-  /// directory's ckpt/ is the stable store).
+  /// logger_shards, ckpt_async, ckpt_delta_anchor, replay_burst, chaos.
+  /// Used by the launcher itself: restart_delay_ms, logger_storage_delay,
+  /// faults (wall-clock SIGKILLs).  Ignored, as they cannot apply to
+  /// separate processes: latency (the sockets are real), fabric_shards and
+  /// exec_* (no in-process fabric or scheduler), trace (a recorder spans one
+  /// address space), checkpoint_spill_dir (the job directory's ckpt/ is the
+  /// stable store).
   JobConfig job;
   /// Forwarded verbatim to every worker before the `--windar-*` flags: the
   /// embedding binary's own app arguments.

@@ -14,7 +14,7 @@ void Metrics::merge(const Metrics& o) {
   dup_dropped += o.dup_dropped;
   suppressed_sends += o.suppressed_sends;
   bad_packets += o.bad_packets;
-  held_sends += o.held_sends;
+  queue_b_peak = std::max(queue_b_peak, o.queue_b_peak);
   piggyback_idents += o.piggyback_idents;
   piggyback_bytes += o.piggyback_bytes;
   piggyback_bytes_dense += o.piggyback_bytes_dense;

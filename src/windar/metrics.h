@@ -22,9 +22,10 @@ struct Metrics {
   std::uint64_t dup_dropped = 0;
   std::uint64_t suppressed_sends = 0;  // skipped during rolling forward
   std::uint64_t bad_packets = 0;       // malformed control payloads dropped
-  // Survivor non-stop recovery: application sends parked in the per-channel
-  // holdback queue while the destination replays (flushed on replay drain).
-  std::uint64_t held_sends = 0;
+  // Deepest queue B (messages parked awaiting delivery) this rank reached.
+  // Out-of-order arrivals park there, such as fresh sends that overtake a
+  // peer's paced replay; merges keep the maximum.
+  std::uint64_t queue_b_peak = 0;
 
   // piggyback overhead (per outgoing app message)
   std::uint64_t piggyback_idents = 0;

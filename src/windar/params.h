@@ -38,12 +38,10 @@ struct ProcessParams {
   // Survivor non-stop recovery: a ROLLBACK answer resends at most
   // `replay_burst` logged messages inline, then continues in bursts per
   // periodic tick, so a survivor's dispatch thread never stalls on a long
-  // replay (or on transport backpressure to the recovering rank).  While a
-  // replay is draining, new application sends to that rank park in a
-  // bounded holdback queue of `holdback_cap` packets (overflow transmits
-  // directly; per-pair FIFO delivery reorders at the receiver).
+  // replay (or on transport backpressure to the recovering rank).  Fresh
+  // application sends to that rank go out meanwhile; its per-pair FIFO gate
+  // parks any that overtake the replay.
   std::size_t replay_burst = 128;
-  std::size_t holdback_cap = 512;
   // Optional causal-event recorder (owned by the caller, shared by ranks).
   TraceSink* trace = nullptr;
   std::uint32_t incarnation = 0;  // 0 = original process

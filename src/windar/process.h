@@ -95,7 +95,11 @@ class Process {
   /// stats at end-of-job call this first, so in-flight commits are counted.
   void drain_checkpoints() { recovery_.flush_checkpoints(); }
 
-  Metrics metrics() const { return metrics_.snapshot(); }
+  Metrics metrics() const {
+    Metrics m = metrics_.snapshot();
+    m.queue_b_peak = delivery_.peak();
+    return m;
+  }
   SeqNo delivered_total() const { return channels_.delivered_total(); }
   const LoggingProtocol& protocol_for_test() const { return tracker_.raw(); }
   std::size_t log_entries() const { return log_.entries(); }

@@ -177,24 +177,17 @@ bool RecoveryManager::pump_replay_locked(int from, ReplaySession& s) {
     ++s.next;
     ++burst;
   }
-  if (s.next < s.entries.size()) {
-    // More to stream on later ticks.  Park fresh application sends to the
-    // recovering rank meanwhile, so they neither interleave with the replay
-    // under transport backpressure nor stall this (dispatch) thread.
-    // Blocking mode never parks — its per-send ack wait would deadlock.
-    if (params_.mode == SendMode::kNonBlocking) send_path_.pause_channel(from);
-    return false;
-  }
+  if (s.next < s.entries.size()) return false;  // more on later ticks
   // Drained.  The RESPONSE certifies that every logged message the peer
   // needs is already in flight; if we crash mid-replay the peer never sees
   // it, keeps retrying its ROLLBACK, and our next incarnation serves it.
   ResponseBody body;
   body.their_deliver_of_mine = channels_.last_deliver_of(from);
+  body.rollback_epoch = s.epoch;
   body.determinants = tracker_.with(
       [&](const LoggingProtocol& proto) { return proto.determinants_for(from); });
   send_path_.send_control(from, Kind::kResponse, params_.incarnation,
                           body.encode());
-  send_path_.resume_channel(from);
   return true;
 }
 
@@ -202,13 +195,20 @@ void RecoveryManager::handle_response(int from, net::Packet&& p) {
   const ResponseBody body = ResponseBody::decode(p.payload);
   const auto resp_epoch = static_cast<std::uint32_t>(p.seq);
   channels_.observe_response(from, resp_epoch, body.their_deliver_of_mine);
-  // A response from an older incarnation still carries valid determinants
-  // (they are facts about past deliveries), just a stale watermark.
+  // A response from an older incarnation, or one answering an older
+  // incarnation of ours, still carries valid determinants (they are facts
+  // about past deliveries); observe_response orders the watermarks.
   tracker_.with([&](LoggingProtocol& proto) {
     proto.add_replay_determinants(body.determinants);
   });
   std::scoped_lock lock(mu_);
-  if (recovering_ && !response_seen_[static_cast<std::size_t>(from)]) {
+  // Only a RESPONSE to this incarnation's ROLLBACK certifies that the
+  // resends it needs are in flight.  One answering a dead predecessor may
+  // arrive here after the responder died mid-replay for us: counting it
+  // would close the gather with a message missing, and suppress the
+  // targeted re-ROLLBACK that asks the responder's successor to resend it.
+  if (recovering_ && body.rollback_epoch == params_.incarnation &&
+      !response_seen_[static_cast<std::size_t>(from)]) {
     response_seen_[static_cast<std::size_t>(from)] = 1;
     --responses_pending_;
     update_gather_done_locked();

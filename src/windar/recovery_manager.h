@@ -25,10 +25,12 @@
 // ReplaySession drained in bursts from periodic(), so the survivor's
 // dispatch thread keeps serving its own sends and deliveries while a peer
 // rebuilds (and never parks on transport backpressure to the recovering
-// rank for an unbounded stream).  While a session is draining, new
-// application sends to that rank park in SendPath's holdback queue; the
-// RESPONSE goes out only when the session drains, and the channel resumes
-// right after.
+// rank for an unbounded stream).  Fresh application sends to that rank
+// keep flowing while a session drains; the recovering rank's per-source
+// lane in queue B parks any that overtake the replay until the gap fills.
+// The RESPONSE goes out only when the session drains and echoes the
+// ROLLBACK epoch it answers, so a RESPONSE meant for a dead incarnation
+// cannot close its successor's gather.
 //
 // The internal mutex guards the gather bookkeeping and replay sessions;
 // `gather_done_` is additionally exported as an atomic so the
@@ -153,8 +155,8 @@ class RecoveryManager {
 
   void broadcast_rollback_locked();
   void update_gather_done_locked();
-  /// Sends up to replay_burst entries of `s`; on drain sends the RESPONSE,
-  /// resumes the held-back channel, and returns true (session done).
+  /// Sends up to replay_burst entries of `s`; on drain sends the RESPONSE
+  /// and returns true (session done).
   bool pump_replay_locked(int from, ReplaySession& s);
   /// Serializes, durably saves, and — only then — fans out the advances.
   /// Returns false iff the store's pre-commit hook dropped the commit.

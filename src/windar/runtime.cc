@@ -70,7 +70,6 @@ ProcessParams process_params(const JobConfig& job, int rank,
                           : -1;
   p.ckpt_async = job.ckpt_async != 0;
   p.replay_burst = job.replay_burst;
-  p.holdback_cap = job.holdback_cap;
   p.trace = job.trace;
   p.incarnation = incarnation;
   return p;

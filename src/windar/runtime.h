@@ -93,10 +93,9 @@ struct JobConfig {
   // resolves WINDAR_CKPT_ANCHOR_K, default 8; 1 disables deltas).
   int ckpt_async = -1;
   std::size_t ckpt_delta_anchor = 0;
-  // Survivor non-stop recovery pacing (see ProcessParams::replay_burst /
-  // holdback_cap); the defaults match ProcessParams.
+  // Survivor non-stop recovery pacing (see ProcessParams::replay_burst);
+  // the default matches ProcessParams.
   std::size_t replay_burst = 128;
-  std::size_t holdback_cap = 512;
   TraceSink* trace = nullptr;        // optional causal-event recorder
 
   bool operator==(const JobConfig&) const = default;

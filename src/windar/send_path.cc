@@ -17,9 +17,7 @@ SendPath::SendPath(net::Transport& transport, const ProcessParams& params,
       channels_(channels),
       tracker_(tracker),
       log_(log),
-      metrics_(metrics),
-      paused_(static_cast<std::size_t>(params.n)),
-      holdback_(static_cast<std::size_t>(params.n)) {}
+      metrics_(metrics) {}
 
 SendPath::~SendPath() { stop(); }
 
@@ -44,61 +42,6 @@ void SendPath::stop() {
   if (recv_thread_.joinable()) recv_thread_.join();
   if (recv_task_.valid()) recv_task_.join();
   recv_task_ = exec::TaskHandle{};
-  // Held packets die with the incarnation.
-  std::scoped_lock lock(hb_mu_);
-  for (auto& q : holdback_) q.clear();
-}
-
-void SendPath::pause_channel(int dst) {
-  paused_[static_cast<std::size_t>(dst)].store(true, std::memory_order_release);
-}
-
-void SendPath::resume_channel(int dst) {
-  paused_[static_cast<std::size_t>(dst)].store(false,
-                                               std::memory_order_release);
-  std::vector<net::Packet> flush;
-  {
-    std::scoped_lock lock(hb_mu_);
-    flush.swap(holdback_[static_cast<std::size_t>(dst)]);
-  }
-  for (net::Packet& p : flush) {
-    // The replay RESPONSE choreography may have raised the suppression
-    // watermark past a held packet (the recovering rank already delivered
-    // it before failing); re-check rather than re-send blindly.
-    if (channels_.should_suppress(dst, static_cast<SeqNo>(p.seq))) {
-      metrics_.update([](Metrics& m) { ++m.suppressed_sends; });
-    } else {
-      metrics_.update([](Metrics& m) { ++m.app_transmitted; });
-      transport_.send(std::move(p));
-    }
-  }
-}
-
-bool SendPath::maybe_holdback(int dst, net::Packet& p) {
-  if (params_.mode != SendMode::kNonBlocking) return false;
-  if (!paused_[static_cast<std::size_t>(dst)].load(std::memory_order_acquire)) {
-    return false;
-  }
-  std::scoped_lock lock(hb_mu_);
-  // Re-check under the lock: resume_channel clears paused_ *before* taking
-  // hb_mu_ to swap the queue, so a flag observed clear here means the flush
-  // already ran (or will run on an empty queue) — pushing now would strand
-  // the packet until some unrelated future pause/resume of this channel,
-  // and the receiver's FIFO gate would park all later traffic behind the
-  // missing seq.  Transmit directly instead; if the flush is still draining
-  // on the other thread, the FIFO gate reorders the overtake harmlessly.
-  if (!paused_[static_cast<std::size_t>(dst)].load(std::memory_order_acquire)) {
-    return false;
-  }
-  auto& q = holdback_[static_cast<std::size_t>(dst)];
-  if (q.size() >= params_.holdback_cap) {
-    // Overflow valve: transmit directly.  The receiver's per-pair FIFO gate
-    // parks out-of-order arrivals, so correctness is unaffected — the bound
-    // only exists to cap survivor memory during a long replay.
-    return false;
-  }
-  q.push_back(std::move(p));
-  return true;
 }
 
 void SendPath::send_control(int dst, Kind kind, std::uint64_t seq,
@@ -168,14 +111,12 @@ void SendPath::send_app(int dst, int tag,
     params_.trace->record(std::move(ev));
   }
 
-  // Algorithm 1 line 10: suppress re-sends the receiver confirmed.
+  // Algorithm 1 line 10: suppress re-sends the receiver confirmed.  A
+  // fresh send to a peer whose replay is still streaming goes out at once:
+  // the receiver's per-source lane parks it until the replay fills the gap.
   const bool suppressed = channels_.should_suppress(dst, idx);
   if (suppressed) {
     metrics_.update([](Metrics& m) { ++m.suppressed_sends; });
-  } else if (maybe_holdback(dst, p)) {
-    // Destination is replaying: parked until its watermark catches up
-    // (counted as transmitted/suppressed when the holdback flushes).
-    metrics_.update([](Metrics& m) { ++m.held_sends; });
   } else {
     metrics_.update([](Metrics& m) { ++m.app_transmitted; });
     transport_.send(std::move(p));

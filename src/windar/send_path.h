@@ -24,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -83,23 +82,12 @@ class SendPath {
   void send_control(int dst, Kind kind, std::uint64_t seq,
                     util::Buffer payload);
 
-  /// Survivor non-stop recovery: while `dst` replays, new application sends
-  /// to it park in a bounded holdback queue instead of racing the replay
-  /// stream (or blocking on the recovering rank's backpressure).
-  /// resume_channel flushes the queue in order, re-checking suppression —
-  /// the replay's RESPONSE may have raised the watermark past held packets.
-  /// Non-blocking mode only; blocking mode waits for per-send acks, so a
-  /// held packet would deadlock the application thread.
-  void pause_channel(int dst);
-  void resume_channel(int dst);
-
   /// Blocking-mode event pump: pops at most one packet (bounded by
   /// `deadline`), dispatches it, runs periodic work.  Throws Killed /
   /// JobAborted as appropriate.
   void pump_once(Clock::time_point deadline);
 
  private:
-  bool maybe_holdback(int dst, net::Packet& p);
   void recv_loop();
 
   net::Transport& transport_;
@@ -112,15 +100,6 @@ class SendPath {
   Callbacks cb_;
 
   std::atomic<bool> closing_{false};
-  // Holdback plane (survivor non-stop recovery).  The paused flags are read
-  // on every send without a lock; hb_mu_ guards the queues themselves and is
-  // a leaf (taken from the app thread in send_app and the dispatch thread in
-  // resume_channel, never while holding another engine lock on this side).
-  // A queue is only filled and then swapped out whole, so a plain vector
-  // serves: an empty one costs no allocation for the peers that never replay.
-  std::vector<std::atomic<bool>> paused_;
-  std::mutex hb_mu_;
-  std::vector<std::vector<net::Packet>> holdback_;
   std::thread recv_thread_;
   exec::TaskHandle recv_task_;  // fiber-mode counterpart of the thread
 

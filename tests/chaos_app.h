@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "mp/collectives.h"
+#include "rank_results.h"
 #include "windar/fault.h"
 #include "windar/runtime.h"
 
@@ -39,6 +40,7 @@ inline JobConfig plan_config(const ChaosPlan& plan, ProtocolKind proto,
   cfg.restart_delay_ms = 2;
   cfg.logger_shards = logger_shards;
   cfg.exec_model = exec_model;
+  cfg.replay_burst = plan.replay_burst;
   if (with_faults) cfg.chaos = plan.events;
   return cfg;
 }
@@ -85,17 +87,17 @@ inline SoakOutcome run_plan(const ChaosPlan& plan, ProtocolKind proto,
                                 exec::ExecModel::kAuto) {
   const int iterations = plan.iterations;
   const int checkpoint_every = plan.checkpoint_every;
-  auto sum = std::make_shared<std::atomic<std::uint64_t>>(0);
+  auto digests = std::make_shared<RankResults<std::uint64_t>>(plan.n);
   SoakOutcome out;
   out.result = run_job(plan_config(plan, proto, with_faults, logger_shards,
                                    exec_model),
-                       [iterations, checkpoint_every, sum](Ctx& ctx) {
-                         sum->fetch_add(
-                             ring_digest_rank(ctx, iterations,
-                                              checkpoint_every) %
-                             1000000007ull);
+                       [iterations, checkpoint_every, digests](Ctx& ctx) {
+                         digests->set(ctx.rank(),
+                                      ring_digest_rank(ctx, iterations,
+                                                       checkpoint_every) %
+                                          1000000007ull);
                        });
-  out.digest = sum->load();
+  out.digest = digests->sum();
   return out;
 }
 

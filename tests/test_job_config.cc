@@ -125,7 +125,6 @@ TEST(WorkerFlags, EveryForwardedFieldRoundTrips) {
   job.ckpt_async = 0;
   job.ckpt_delta_anchor = 5;
   job.replay_burst = 9;
-  job.holdback_cap = 17;
   job = resolve_job_config(job);
 
   WorkerConfig w;
@@ -161,7 +160,6 @@ TEST(WorkerFlags, EveryForwardedFieldRoundTrips) {
   forwarded.ckpt_async = job.ckpt_async;
   forwarded.ckpt_delta_anchor = job.ckpt_delta_anchor;
   forwarded.replay_burst = job.replay_burst;
-  forwarded.holdback_cap = job.holdback_cap;
   EXPECT_EQ(back.job, forwarded);
   EXPECT_EQ(back.rank, w.rank);
   EXPECT_EQ(back.dir, w.dir);

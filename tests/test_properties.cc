@@ -10,9 +10,8 @@
 //   P4  holds for every protocol and both send paths.
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "mp/comm.h"
+#include "rank_results.h"
 #include "util/rng.h"
 #include "windar/runtime.h"
 
@@ -92,16 +91,16 @@ std::uint64_t job_outcome(const RandomWorkload& wl, ProtocolKind proto,
   cfg.faults = std::move(faults);
   cfg.restart_delay_ms = 3;
   cfg.trace = &sink;
-  auto sum = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto result = run_job(cfg, [&wl, sum](Ctx& ctx) {
-    sum->fetch_add(wl.run(ctx) % 0xFFFFFFFFFFFFull);
+  auto results = std::make_shared<RankResults<std::uint64_t>>(cfg.n);
+  auto result = run_job(cfg, [&wl, results](Ctx& ctx) {
+    results->set(ctx.rank(), wl.run(ctx) % 0xFFFFFFFFFFFFull);
   });
   if (metrics) *metrics = result.total;
   const auto verdict = validate_trace(sink.snapshot(), cfg.n);
   EXPECT_TRUE(verdict.ok()) << "trace: " << verdict.violations.size()
                             << " violations, first: "
                             << verdict.violations[0];
-  return sum->load();
+  return results->sum();
 }
 
 class PropertySweep

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "mp/collectives.h"
+#include "rank_results.h"
 #include "windar/fault.h"
 #include "windar/runtime.h"
 
@@ -75,15 +76,14 @@ struct ExchangeApp {
   }
 };
 
-/// Runs the exchange app and gathers every rank's digest at rank 0, summed
-/// into a single job outcome value (order-insensitive but value-sensitive).
+/// Runs the exchange app and sums every rank's digest into a single job
+/// outcome value (order-insensitive but value-sensitive).
 double run_exchange(const JobConfig& cfg, const ExchangeApp& app) {
-  auto outcome = std::make_shared<std::atomic<std::uint64_t>>(0);
-  run_job(cfg, [&app, outcome](Ctx& ctx) {
-    const std::uint64_t digest = app(ctx);
-    outcome->fetch_add(digest % 1000000007ull);
+  auto digests = std::make_shared<RankResults<std::uint64_t>>(cfg.n);
+  run_job(cfg, [&app, digests](Ctx& ctx) {
+    digests->set(ctx.rank(), app(ctx) % 1000000007ull);
   });
-  return static_cast<double>(outcome->load());
+  return static_cast<double>(digests->sum());
 }
 
 class RecoveryMatrix
@@ -136,10 +136,7 @@ TEST(Recovery, RecoveryMetricsReported) {
   app.checkpoint_every = 1;
   JobConfig cfg = config(4, ProtocolKind::kTdi, SendMode::kNonBlocking);
   cfg.chaos = {kill_on_delivery(1, 8)};
-  auto outcome = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto result = run_job(cfg, [&app, outcome](Ctx& ctx) {
-    outcome->fetch_add(app(ctx) % 97);
-  });
+  auto result = run_job(cfg, [&app](Ctx& ctx) { (void)app(ctx); });
   EXPECT_EQ(result.total.recoveries, 1u);
   EXPECT_GT(result.total.resent_msgs + result.total.dup_dropped +
                 result.total.suppressed_sends,

@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "mp/collectives.h"
+#include "rank_results.h"
 #include "util/wait.h"
 #include "windar/runtime.h"
 
@@ -193,8 +194,8 @@ TEST(RecoveryEdge, FaultStormAllProtocols) {
     auto run = [&](std::vector<FaultEvent> faults) {
       JobConfig cfg = base(4, proto);
       cfg.faults = std::move(faults);
-      auto digest = std::make_shared<std::atomic<std::uint64_t>>(0);
-      run_job(cfg, [digest](Ctx& ctx) {
+      auto digests = std::make_shared<RankResults<std::uint64_t>>(cfg.n);
+      run_job(cfg, [digests](Ctx& ctx) {
         const int n = ctx.size();
         std::uint64_t h = 7 + static_cast<std::uint64_t>(ctx.rank());
         int start = 0;
@@ -214,9 +215,9 @@ TEST(RecoveryEdge, FaultStormAllProtocols) {
           h = h * 31 + recv_value<std::uint64_t>(ctx, (ctx.rank() + n - 1) % n, 0);
           std::this_thread::sleep_for(std::chrono::microseconds(300));
         }
-        digest->fetch_add(h % 1000003);
+        digests->set(ctx.rank(), h % 1000003);
       });
-      return digest->load();
+      return digests->sum();
     };
     const std::uint64_t clean = run({});
     const std::uint64_t faulted = run({{1, 5.0}, {3, 9.0}, {2, 14.0}});

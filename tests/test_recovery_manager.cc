@@ -134,6 +134,7 @@ TEST(RecoveryManager, RestoreRoundTripAndRollbackAnnouncement) {
   // forward must suppress re-sends 1 and 2, and the retry loop goes quiet.
   ResponseBody body;
   body.their_deliver_of_mine = 2;
+  body.rollback_epoch = 1;  // answers this incarnation's ROLLBACK
   inc.rec.handle_response(
       1, control_packet(1, 0, Kind::kResponse, 0, body.encode()));
   EXPECT_FALSE(inc.rec.retry_pending());
@@ -167,6 +168,7 @@ TEST(RecoveryManager, SurvivorResendsFromLogThenResponds) {
   EXPECT_EQ(p->kind, wire(Kind::kResponse));
   const ResponseBody body = ResponseBody::decode(p->payload);
   EXPECT_EQ(body.their_deliver_of_mine, 2u);  // what we delivered from peer 1
+  EXPECT_EQ(body.rollback_epoch, 1u);  // echoes the ROLLBACK it answers
   EXPECT_EQ(eng.metrics.snapshot().resent_msgs, 2u);
 
   // The rollback reset our suppression watermark to what the incarnation
@@ -187,6 +189,7 @@ TEST(RecoveryManager, GatherGateStaysClosedUntilAllResponses) {
   EXPECT_TRUE(eng.rec.retry_pending());
 
   ResponseBody body;  // peer never delivered from us; no determinants held
+  body.rollback_epoch = 1;
   eng.rec.handle_response(
       1, control_packet(1, 0, Kind::kResponse, 0, body.encode()));
   EXPECT_TRUE(eng.rec.gate());  // last outstanding survivor answered
@@ -267,6 +270,43 @@ std::vector<net::Packet> settle_and_drain(net::Fabric& fabric, int ep) {
     out.push_back(std::move(*p));
   }
   return out;
+}
+
+// Regression: a RESPONSE carries the ROLLBACK epoch it answers.  A survivor
+// that answered our dead predecessor may have its RESPONSE delivered to us;
+// counting it closed the gather, and the survivor's successor — which owes
+// us the replay its predecessor died serving — then got no targeted
+// ROLLBACK.  Only a RESPONSE to our own epoch counts.
+TEST(RecoveryManager, ResponseToDeadIncarnationDoesNotCloseGather) {
+  net::Fabric fabric(2, flat_latency(), 25);
+  CheckpointStore store;  // empty: restart from scratch
+  Engine eng(fabric, store, ProtocolKind::kTag, 2);
+  eng.rec.restore_from_checkpoint();
+  eng.rec.announce_rollback();
+  ASSERT_EQ(settle_and_drain(fabric, 1).size(), 1u);  // our ROLLBACK
+
+  ResponseBody stale;
+  stale.rollback_epoch = 1;  // answers incarnation 1, which died
+  eng.rec.handle_response(
+      1, control_packet(1, 0, Kind::kResponse, 0, stale.encode()));
+  EXPECT_FALSE(eng.rec.gate());
+  EXPECT_TRUE(eng.rec.retry_pending());
+
+  // Peer 1's next incarnation announces itself: we answer and re-send our
+  // ROLLBACK to it at once.
+  eng.rec.handle_rollback(1, /*peer_epoch=*/1, {0, 0});
+  const auto got = settle_and_drain(fabric, 1);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].kind, wire(Kind::kResponse));
+  EXPECT_EQ(got[1].kind, wire(Kind::kRollback));
+  EXPECT_EQ(got[1].seq, 2u);
+
+  ResponseBody fresh;
+  fresh.rollback_epoch = 2;
+  eng.rec.handle_response(
+      1, control_packet(1, 0, Kind::kResponse, 1, fresh.encode()));
+  EXPECT_TRUE(eng.rec.gate());
+  EXPECT_FALSE(eng.rec.retry_pending());
 }
 
 // The durability gate, synchronous flavour: a kill between seal and fsync
@@ -377,10 +417,10 @@ TEST(RecoveryManager, KilledTeardownDropsQueuedCheckpoints) {
 }
 
 // Survivor non-stop recovery: a replay longer than replay_burst drains in
-// bursts across periodic() ticks; fresh application sends to the recovering
-// rank park in the holdback queue and flush — suppression re-checked —
-// after the RESPONSE.
-TEST(RecoveryManager, PacedReplayParksFreshSendsUntilResponse) {
+// bursts across periodic() ticks.  A fresh application send to the
+// recovering rank goes out at once (its queue B parks it until the replay
+// fills the gap), and the RESPONSE still waits for the last resend.
+TEST(RecoveryManager, PacedReplaySendsFreshTrafficAtOnceAndRespondsLast) {
   net::Fabric fabric(2, flat_latency(), 23);
   CheckpointStore store;
   ProcessParams base;
@@ -400,11 +440,13 @@ TEST(RecoveryManager, PacedReplayParksFreshSendsUntilResponse) {
   EXPECT_EQ(got[0].seq, 1u);
   EXPECT_EQ(got[1].seq, 2u);
 
-  // A fresh application send parks instead of racing the replay stream.
+  // A fresh application send is not held back by the replay.
   const util::Bytes payload{9};
   eng.path.send_app(1, 0, payload);
-  EXPECT_EQ(eng.metrics.snapshot().held_sends, 1u);
-  EXPECT_TRUE(settle_and_drain(fabric, 1).empty());
+  got = settle_and_drain(fabric, 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, wire(Kind::kApp));
+  EXPECT_EQ(got[0].seq, 6u);
 
   eng.rec.periodic();  // burst 2: resends 3-4
   got = settle_and_drain(fabric, 1);
@@ -412,17 +454,14 @@ TEST(RecoveryManager, PacedReplayParksFreshSendsUntilResponse) {
   EXPECT_EQ(got[1].seq, 4u);
   EXPECT_TRUE(eng.rec.work_pending());
 
-  eng.rec.periodic();  // burst 3: resend 5, RESPONSE, then the held send
+  eng.rec.periodic();  // burst 3: resend 5, then the RESPONSE
   got = settle_and_drain(fabric, 1);
-  ASSERT_EQ(got.size(), 3u);
+  ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].kind, wire(Kind::kApp));
   EXPECT_EQ(got[0].seq, 5u);
   EXPECT_EQ(got[1].kind, wire(Kind::kResponse));
-  EXPECT_EQ(got[2].kind, wire(Kind::kApp));
-  EXPECT_EQ(got[2].seq, 6u);  // the parked fresh send, flushed in order
   EXPECT_FALSE(eng.rec.work_pending());
   EXPECT_EQ(eng.metrics.snapshot().resent_msgs, 5u);
-  // Each packet counted exactly once: 6 app sends, 1 held then transmitted.
   EXPECT_EQ(eng.metrics.snapshot().app_transmitted, 1u);
 }
 

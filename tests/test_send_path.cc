@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 #include "net/fabric.h"
 #include "windar/send_path.h"
@@ -100,85 +99,6 @@ TEST(SendPath, SuppressedResendSkipsTheWireButIsLogged) {
   EXPECT_EQ(h.fabric.stats().packets_sent, 0u);  // nothing hit the fabric
   // Still logged: a later rollback of the peer may need it.
   EXPECT_EQ(h.log.entries_for(1), 1u);
-}
-
-// Regression: the app thread could read paused==true, lose the CPU, and
-// push into a holdback queue that resume_channel had already swapped out —
-// stranding the packet (and FIFO-parking all later traffic behind its seq)
-// with no failure present.  maybe_holdback now re-checks the flag under
-// hb_mu_.  Hammer the window from a churning pause/resume thread: with the
-// bug a packet goes missing within a few thousand iterations; with the fix
-// every send must reach the wire (directly or via a flush).
-TEST(SendPath, PauseResumeRaceStrandsNoPackets) {
-  Harness h;
-  constexpr std::uint64_t kSends = 4000;
-  std::atomic<bool> done{false};
-  std::thread churn([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      h.path.pause_channel(1);
-      h.path.resume_channel(1);
-    }
-  });
-  const util::Bytes payload{1};
-  for (std::uint64_t i = 0; i < kSends; ++i) h.path.send_app(1, 0, payload);
-  done.store(true, std::memory_order_release);
-  churn.join();
-  h.path.resume_channel(1);  // flush anything legitimately parked
-
-  const Metrics m = h.metrics.snapshot();
-  EXPECT_EQ(m.app_sent, kSends);
-  EXPECT_EQ(m.suppressed_sends, 0u);
-  // Every send either went out directly or was flushed by a resume; none
-  // may remain stranded in a swapped-out holdback queue.
-  EXPECT_EQ(m.app_transmitted, kSends);
-}
-
-// Sequence numbers of everything rank 1's inbox receives within 50 ms.
-std::vector<std::uint64_t> drain_seqs(Harness& h) {
-  std::vector<std::uint64_t> seqs;
-  while (auto p = h.fabric.endpoint(1).inbox().pop_until(
-             std::chrono::steady_clock::now() +
-             std::chrono::milliseconds(50))) {
-    seqs.push_back(p->seq);
-  }
-  return seqs;
-}
-
-TEST(SendPath, HoldbackParksThenFlushesInOrder) {
-  Harness h;
-  const util::Bytes payload{7};
-  h.path.pause_channel(1);
-  for (int i = 0; i < 5; ++i) h.path.send_app(1, 0, payload);
-  EXPECT_EQ(h.metrics.snapshot().held_sends, 5u);
-  EXPECT_EQ(h.fabric.stats().packets_sent, 0u);
-
-  h.path.resume_channel(1);
-  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(h.metrics.snapshot().app_transmitted, 5u);
-
-  // A second pause reuses the emptied queue; a RESPONSE that raised the
-  // watermark meanwhile suppresses the covered packets at flush time.
-  h.path.pause_channel(1);
-  for (int i = 0; i < 3; ++i) h.path.send_app(1, 0, payload);  // seqs 6..8
-  h.channels.observe_response(1, 0, 7);
-  h.path.resume_channel(1);
-  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{8}));
-  const Metrics m = h.metrics.snapshot();
-  EXPECT_EQ(m.suppressed_sends, 2u);
-  EXPECT_EQ(m.app_transmitted, 6u);
-  EXPECT_EQ(h.log.entries_for(1), 8u);  // every send stays logged
-}
-
-TEST(SendPath, HoldbackOverflowTransmitsDirectly) {
-  Harness h;
-  h.params.holdback_cap = 2;
-  const util::Bytes payload{7};
-  h.path.pause_channel(1);
-  for (int i = 0; i < 4; ++i) h.path.send_app(1, 0, payload);
-  EXPECT_EQ(h.metrics.snapshot().held_sends, 2u);
-  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{3, 4}));
-  h.path.resume_channel(1);
-  EXPECT_EQ(drain_seqs(h), (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(SendPath, BlockingSendPumpsOwnInboxUntilAcked) {

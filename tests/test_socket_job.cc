@@ -130,7 +130,6 @@ TEST(SocketJob, ForwardedCheckpointAndReplayKnobsConverge) {
   spec.job.ckpt_async = 0;
   spec.job.ckpt_delta_anchor = 2;
   spec.job.replay_burst = 2;
-  spec.job.holdback_cap = 4;
   spec.job.chaos = {kill_on_delivery(2, 6)};
   const MultiProcResult r = run_multiproc_job(spec);
   ASSERT_TRUE(r.ok) << r.error;

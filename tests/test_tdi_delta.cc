@@ -356,13 +356,13 @@ TEST(TdiDeltaChaos, ConvergesOnCooperativeScheduler) {
   JobConfig cfg = chaos::plan_config(plan, ProtocolKind::kTdiDelta, true);
   cfg.exec_model = exec::ExecModel::kCoop;
   cfg.exec_workers = 2;
-  auto sum = std::make_shared<std::atomic<std::uint64_t>>(0);
+  RankResults<std::uint64_t> digests(plan.n);
   auto result = run_job(cfg, [&](Ctx& ctx) {
-    sum->fetch_add(chaos::ring_digest_rank(ctx, plan.iterations,
-                                           plan.checkpoint_every) %
-                   1000000007ull);
+    digests.set(ctx.rank(), chaos::ring_digest_rank(ctx, plan.iterations,
+                                                    plan.checkpoint_every) %
+                                1000000007ull);
   });
-  EXPECT_EQ(sum->load(), clean);
+  EXPECT_EQ(digests.sum(), clean);
   EXPECT_EQ(result.total.recoveries, 1u);
 }
 
