@@ -10,7 +10,9 @@
 // gather determinants from every survivor and then deliver in exactly the
 // recorded order, holding early arrivals in the receiving queue.  We report
 // the fault-to-finish recovery cost (faulted wall time minus failure-free
-// wall time) per protocol.
+// wall time) per protocol.  The crash is event-keyed: rank 0 dies on the
+// delivery 60% of the way through its failure-free deliveries, and a run
+// whose kill does not produce exactly one recovery aborts.
 //
 //   ./abl_replay [--ranks=8] [--rounds=40] [--repeats=5]
 #include "bench/common.h"
@@ -81,9 +83,12 @@ int main(int argc, char** argv) {
                                    [&](ft::Ctx& c) { fanin_app(c, rounds); });
       clean_ms.add(clean.wall_ms);
 
-      cfg.faults = {{0, clean.wall_ms * 0.6}};
+      cfg.chaos = {
+          ft::kill_at_fraction(0, 0.6, clean.per_rank[0].app_delivered)};
       auto faulted = bounded_run_job(cfg, label + " faulted",
                                      [&](ft::Ctx& c) { fanin_app(c, rounds); });
+      WINDAR_CHECK_EQ(faulted.total.recoveries, 1u)
+          << label << " kill=0@" << cfg.chaos[0].nth;
       faulted_ms.add(faulted.wall_ms);
       resent += faulted.total.resent_msgs;
       dups += faulted.total.dup_dropped;

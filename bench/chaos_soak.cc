@@ -2,9 +2,9 @@
 // across the causal-logging protocols, each run checked for convergence to
 // the failure-free digest.
 //
-//   chaos_soak [--schedules=50] [--seed0=1000] [--protocols=tdi,tag,tel]
+//   chaos_soak [--schedules=50] [--seed0=1000] [--protocols=tdi,tdi-d,tag,tel]
 //              [--replay=SEED] [--timeout-ms=30000] [--transport=sim|socket]
-//              [--logger-shards=N] [--exec=threads|coop|auto]
+//              [--logger-shards=N] [--exec=threads|coop|auto] [--verbose]
 //
 // Every schedule is a pure function of its seed (windar::ft::make_chaos_plan),
 // so a failure is replayed from the printed seed alone:
@@ -29,8 +29,6 @@
 // converged.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -45,60 +43,45 @@ namespace {
 using namespace windar;
 using namespace windar::ft;
 
-struct Options {
+struct SoakOptions {
   int schedules = 50;
   std::uint64_t seed0 = 1000;
-  std::vector<ProtocolKind> protocols = {ProtocolKind::kTdi,
-                                         ProtocolKind::kTdiDelta,
-                                         ProtocolKind::kTag,
-                                         ProtocolKind::kTel};
+  std::vector<ProtocolKind> protocols;
   std::uint64_t replay = 0;  // 0: sweep mode
   double timeout_ms = 30000;
-  net::TransportKind transport = net::default_transport();
+  net::TransportKind transport = net::TransportKind::kSim;
   int logger_shards = 0;  // TEL/PES logger shards (0 = env/default)
   exec::ExecModel exec_model = exec::ExecModel::kAuto;
+  bool verbose = false;  // socket runs: the launcher narrates to stderr
 };
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    if (arg.rfind("--schedules=", 0) == 0) {
-      opt.schedules = util::parse_number<int>(value("--schedules="),
-                                              "--schedules");
-    } else if (arg.rfind("--seed0=", 0) == 0) {
-      opt.seed0 =
-          util::parse_number<std::uint64_t>(value("--seed0="), "--seed0");
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      opt.replay =
-          util::parse_number<std::uint64_t>(value("--replay="), "--replay");
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      opt.timeout_ms =
-          util::parse_number<double>(value("--timeout-ms="), "--timeout-ms");
-    } else if (arg.rfind("--logger-shards=", 0) == 0) {
-      opt.logger_shards = util::parse_number<int>(value("--logger-shards="),
-                                                  "--logger-shards");
-    } else if (arg.rfind("--exec=", 0) == 0) {
-      if (!exec::parse_exec_model(value("--exec="), &opt.exec_model)) {
-        std::fprintf(stderr, "unknown exec model '%s'\n", value("--exec="));
-        std::exit(2);
-      }
-    } else if (arg.rfind("--transport=", 0) == 0) {
-      if (!net::parse_transport(value("--transport="), &opt.transport)) {
-        std::fprintf(stderr, "unknown transport '%s'\n",
-                     value("--transport="));
-        std::exit(2);
-      }
-    } else if (arg.rfind("--protocols=", 0) == 0) {
-      opt.protocols = bench::parse_protocol_list(value("--protocols="));
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+SoakOptions parse_args(int argc, char** argv) {
+  util::Options opts(argc, argv);
+  SoakOptions opt;
+  opt.schedules =
+      static_cast<int>(opts.integer("schedules", 50, "plans per protocol"));
+  opt.seed0 = static_cast<std::uint64_t>(
+      opts.integer("seed0", 1000, "seed of the first plan"));
+  opt.protocols = bench::parse_protocol_list(
+      opts.str("protocols", "tdi,tdi-d,tag,tel", "protocols to soak"));
+  opt.replay = static_cast<std::uint64_t>(
+      opts.integer("replay", 0, "replay one plan by its seed (0 = sweep)"));
+  opt.timeout_ms = opts.real("timeout-ms", 30000, "per-run hang bound");
+  const std::string tname =
+      opts.str("transport", net::to_string(net::default_transport()),
+               "sim | socket (one OS process per rank)");
+  WINDAR_CHECK(net::parse_transport(tname, &opt.transport))
+      << "unknown transport '" << tname << "'";
+  opt.logger_shards = static_cast<int>(opts.integer(
+      "logger-shards", 0, "TEL/PES logger shards (0 = env/default)"));
+  const std::string ename =
+      opts.str("exec", "auto", "threads | coop | auto");
+  WINDAR_CHECK(exec::parse_exec_model(ename, &opt.exec_model))
+      << "unknown exec model '" << ename << "'";
+  opt.verbose = opts.flag(
+      "verbose", false,
+      "socket runs: narrate launcher spawns, reaps, respawns and ALLDONE");
+  opts.finish();
   return opt;
 }
 
@@ -132,14 +115,15 @@ int soak_worker_main(int argc, char** argv) {
 
 // One faulty schedule as real processes with real SIGKILLs.
 MultiProcResult run_plan_multiproc(const ChaosPlan& plan, ProtocolKind proto,
-                                   double timeout_ms, int logger_shards) {
+                                   double timeout_ms, int logger_shards,
+                                   bool verbose) {
   LaunchSpec spec;
   spec.job = ft::chaos::plan_config(plan, proto, /*with_faults=*/true,
                                     logger_shards);
   spec.worker_args = {"--iters=" + std::to_string(plan.iterations),
                       "--ckpt=" + std::to_string(plan.checkpoint_every)};
   spec.timeout_ms = timeout_ms;
-  spec.verbose = std::getenv("WINDAR_LAUNCH_VERBOSE") != nullptr;
+  spec.verbose = verbose;
   return run_multiproc_job(spec);
 }
 
@@ -149,7 +133,7 @@ int main(int argc, char** argv) {
   if (WorkerConfig::is_worker_invocation(argc, argv)) {
     return soak_worker_main(argc, argv);
   }
-  const Options opt = parse_args(argc, argv);
+  const SoakOptions opt = parse_args(argc, argv);
   const bool replay = opt.replay != 0;
   const bool socket = opt.transport == net::TransportKind::kSocket;
   bench::Watchdog watchdog(opt.timeout_ms * (socket ? 2 : 1));
@@ -181,7 +165,8 @@ int main(int argc, char** argv) {
       std::string run_error;
       if (socket) {
         const auto faulty =
-            run_plan_multiproc(plan, proto, opt.timeout_ms, opt.logger_shards);
+            run_plan_multiproc(plan, proto, opt.timeout_ms, opt.logger_shards,
+                               opt.verbose);
         faulty_digest = faulty.digest;
         triggers = faulty.chaos_triggers_fired;
         recoveries = faulty.recoveries;

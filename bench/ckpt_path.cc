@@ -10,8 +10,11 @@
 // (ckpt_stall_ns per checkpoint): under synchronous commit it contains the
 // whole serialize+fsync; under asynchronous commit it is just the seal.
 // The acceptance bar for the async path is a >=5x stall reduction.  The
-// faulted variant kills one rank mid-run and reports completion wall time,
-// showing recovery works (and is not slower) with deltas + async commit.
+// faulted variant kills rank 1 on its delivery halfway through the ring
+// (the ring delivers one message per rank per round) and reports
+// completion wall time, showing recovery works (and is not slower) with
+// deltas + async commit.  A faulted row whose kill does not produce exactly
+// one recovery aborts.
 //
 //   ./ckpt_path [--ranks=4] [--rounds=240] [--ckpt-every=8]
 //               [--state-kb=256] [--anchor-k=8] [--json=BENCH_ckpt.json]
@@ -50,7 +53,10 @@ RunStats run_once(int ranks, int rounds, int ckpt_every, std::size_t state_kb,
   cfg.ckpt_async = async ? 1 : 0;
   cfg.ckpt_delta_anchor = anchor_k;
   cfg.restart_delay_ms = 5;
-  if (faulted) cfg.faults.push_back({1, 25.0});
+  if (faulted) {
+    cfg.chaos = {ft::kill_at_fraction(1 % ranks, 0.5,
+                                      static_cast<std::uint64_t>(rounds))};
+  }
 
   const std::size_t state_bytes = state_kb * 1024;
   auto result = ft::run_job(cfg, [&](ft::Ctx& ctx) {
@@ -125,16 +131,19 @@ int main(int argc, char** argv) {
   for (const bool faulted : {false, true}) {
     for (const bool async : {false, true}) {
       const std::string mode = async ? "async" : "sync";
-      watchdog.arm("ckpt_path mode=" + mode +
-                   " faulted=" + std::to_string(faulted ? 1 : 0) +
-                   " ranks=" + std::to_string(ranks) +
-                   " rounds=" + std::to_string(rounds) +
-                   " ckpt_every=" + std::to_string(ckpt_every) +
-                   " state_kb=" + std::to_string(state_kb) +
-                   " anchor_k=" + std::to_string(anchor_k));
+      const std::string label =
+          "ckpt_path mode=" + mode +
+          " faulted=" + std::to_string(faulted ? 1 : 0) +
+          " ranks=" + std::to_string(ranks) +
+          " rounds=" + std::to_string(rounds) +
+          " ckpt_every=" + std::to_string(ckpt_every) +
+          " state_kb=" + std::to_string(state_kb) +
+          " anchor_k=" + std::to_string(anchor_k);
+      watchdog.arm(label);
       RunStats r = run_once(ranks, rounds, ckpt_every, state_kb, anchor_k,
                             async, faulted, dir);
       watchdog.disarm();
+      WINDAR_CHECK_EQ(r.m.recoveries, faulted ? 1u : 0u) << label;
       if (!faulted) (async ? async_stall : sync_stall) = r.stall_us_per_ckpt;
       table.row({mode, faulted ? "kill r1" : "none", fmt(r.wall_ms, 1),
                  std::to_string(r.m.checkpoints),

@@ -111,7 +111,7 @@ struct NpbJob {
   double scale = 1.0;
   int checkpoint_every = 8;  // iterations; bounds metadata growth like the
                              // paper's 180 s checkpoint interval
-  std::vector<ft::FaultEvent> faults;
+  std::vector<net::ChaosEvent> chaos;  // event-keyed kills (fault.h)
   std::uint64_t seed = 1;
   exec::ExecModel exec_model = exec::ExecModel::kAuto;
   int logger_shards = 0;  // TEL/PES event-logger shards; 0 = env/default
@@ -132,7 +132,7 @@ inline NpbOutcome run_npb_job(const NpbJob& job) {
   cfg.latency = bench_latency();
   cfg.seed = job.seed;
   cfg.exec_model = job.exec_model;
-  cfg.faults = job.faults;
+  cfg.chaos = job.chaos;
   cfg.logger_shards = job.logger_shards;
   cfg.restart_delay_ms = 5;
   auto checksum = std::make_shared<std::atomic<double>>(0.0);
@@ -144,7 +144,7 @@ inline NpbOutcome run_npb_job(const NpbJob& job) {
       " mode=" + ft::to_string(job.mode) +
       " scale=" + util::fmt_double(job.scale, 2) +
       " seed=" + std::to_string(job.seed) +
-      " faults=" + std::to_string(job.faults.size());
+      " kills=" + std::to_string(job.chaos.size());
   out.result = bounded_run_job(cfg, label, [&](ft::Ctx& ctx) {
     const double cs = npb::run_app(ctx, params, &ctx);
     if (ctx.rank() == 0) checksum->store(cs);
@@ -211,6 +211,15 @@ inline std::string fmt(double v, int digits = 2) {
   return util::fmt_double(v, digits);
 }
 
+/// The CMake build type the bench binaries were compiled under.
+inline const char* build_type() {
+#ifdef WINDAR_BENCH_BUILD_TYPE
+  return WINDAR_BENCH_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
 /// Minimal machine-readable output: an array of flat JSON objects, one per
 /// bench row, written in one shot.  Values are either numbers or strings —
 /// nothing nested, no escapes beyond quoting (bench strings are tokens).
@@ -234,6 +243,25 @@ class JsonRows {
     return raw(key, std::to_string(v));
   }
   JsonRows& field(const char* key, int v) { return raw(key, std::to_string(v)); }
+
+  /// The host (nproc, build type) and the resolved job configuration
+  /// (JobResult::config) a row was measured under.
+  JsonRows& host_and_config(const ft::JobConfig& c) {
+    return field("host_nproc",
+                 static_cast<int>(std::thread::hardware_concurrency()))
+        .field("build", std::string(build_type()))
+        .field("protocol", ft::to_string(c.protocol))
+        .field("exec", std::string(exec::to_string(c.exec_model)))
+        .field("exec_workers", c.exec_workers)
+        .field("fabric_shards", c.fabric_shards)
+        .field("logger_shards", c.logger_shards)
+        .field("ckpt_async", c.ckpt_async)
+        .field("ckpt_delta_anchor",
+               static_cast<std::uint64_t>(c.ckpt_delta_anchor))
+        .field("eager_threshold", static_cast<std::uint64_t>(c.eager_threshold))
+        .field("replay_burst", static_cast<std::uint64_t>(c.replay_burst))
+        .field("restart_delay_ms", c.restart_delay_ms);
+  }
 
   void end_row() {
     rows_.push_back("  {" + row_ + "}");

@@ -61,6 +61,12 @@ int main(int argc, char** argv) {
   const std::string proto_name = opts.str("protocol", "tdi", "tdi | tag | tel");
   opts.finish();
 
+  if (ranks < 2) {
+    std::printf("need at least 2 ranks (the crashed rank is killed on a "
+                "halo delivery)\n");
+    return 2;
+  }
+
   ft::JobConfig cfg;
   cfg.n = ranks;
   cfg.protocol = proto_name == "tag"   ? ft::ProtocolKind::kTag
@@ -144,7 +150,8 @@ int main(int argc, char** argv) {
   std::printf("failure-free : energy=%.6f wall=%.1fms\n", expected,
               clean.wall_ms);
 
-  cfg.faults = {{ranks > 1 ? 1 : 0, clean.wall_ms * 0.5}};
+  // Crash rank 1 halfway through its failure-free deliveries.
+  cfg.chaos = {ft::kill_at_fraction(1, 0.5, clean.per_rank[1].app_delivered)};
   energy_out->store(-1);
   auto faulty = ft::run_job(cfg, app);
   std::printf("with fault   : energy=%.6f wall=%.1fms recoveries=%llu\n",
@@ -152,6 +159,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(faulty.total.recoveries));
   if (energy_out->load() != expected) {
     std::printf("MISMATCH!\n");
+    return 1;
+  }
+  if (faulty.total.recoveries != 1) {
+    std::printf("FAIL: the kill did not produce exactly one recovery\n");
     return 1;
   }
   std::printf("OK: identical energy after crash+recovery\n");

@@ -121,8 +121,11 @@ int main(int argc, char** argv) {
   std::printf("failure-free : integral=%.12f wall=%.1fms\n", expected,
               clean.wall_ms);
 
-  // Crash one worker mid-farm.
-  cfg.faults = {{ranks - 1, clean.wall_ms * 0.4}};
+  // Crash the last worker mid-farm, on its second message: which tasks a
+  // worker gets depends on arrival order, but the master seeds every worker
+  // with one task and ends with a stop, so a worker always receives two
+  // messages when there is a task for each worker (else only the stop).
+  cfg.chaos = {ft::kill_on_delivery(ranks - 1, tasks >= ranks - 1 ? 2 : 1)};
   result_out->store(0);
   auto faulty = ft::run_job(cfg, app);
   std::printf("with fault   : integral=%.12f wall=%.1fms recoveries=%llu "
@@ -133,6 +136,10 @@ int main(int argc, char** argv) {
 
   if (std::abs(result_out->load() - expected) > 1e-12) {
     std::printf("MISMATCH!\n");
+    return 1;
+  }
+  if (faulty.total.recoveries != 1) {
+    std::printf("FAIL: the kill did not produce exactly one recovery\n");
     return 1;
   }
   std::printf("OK: commutative ANY_SOURCE farm survives worker crash\n");

@@ -1,12 +1,12 @@
 // Quickstart: run a small fault-tolerant job with the TDI protocol.
 //
 // Four ranks pass an accumulating token around a ring for a number of
-// rounds, checkpointing as they go.  Midway through, rank 2 is crashed by
-// the fault injector; the run completes anyway and the final token value is
-// identical to the failure-free result.
+// rounds, checkpointing as they go.  Halfway through its deliveries, rank 2
+// is crashed by an event-keyed chaos kill; the run completes anyway and the
+// final token value is identical to the failure-free result.
 //
 //   ./quickstart [--ranks=4] [--rounds=40] [--protocol=tdi|tag|tel|...]
-//                [--mode=nonblocking|blocking] [--fault-ms=-1]
+//                [--mode=nonblocking|blocking]
 #include <atomic>
 #include <cstdio>
 
@@ -23,8 +23,6 @@ int main(int argc, char** argv) {
   const std::string protocol_name =
       opts.str("protocol", "tdi", "tdi | tdi-s | tdi-d | tag | tel | pes");
   const bool blocking = opts.str("mode", "nonblocking", "send path") == "blocking";
-  const double fault_ms =
-      opts.real("fault-ms", -1.0, "when to kill rank 2; <0 = auto (mid-run)");
   opts.finish();
   const auto protocol = ft::parse_protocol(protocol_name);
   WINDAR_CHECK(protocol) << "unknown protocol '" << protocol_name << "'";
@@ -68,8 +66,6 @@ int main(int argc, char** argv) {
         const auto token = mp::recv_value<long long>(ctx, prev, 0);
         mp::send_value(ctx, next, 0, token + 1);
       }
-      // A little "compute" so the fault window is wide enough to hit.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     if (me == 0) final_token->store(acc);
   };
@@ -80,9 +76,11 @@ int main(int argc, char** argv) {
   std::printf("failure-free : token=%lld wall=%.1fms\n", expected,
               clean.wall_ms);
 
-  // Same job with rank 2 crashed mid-run.
-  cfg.faults = {{ranks > 2 ? 2 : 0,
-                 fault_ms > 0 ? fault_ms : clean.wall_ms * 0.5}};
+  // Same job with rank 2 crashed halfway through its failure-free deliveries.
+  const int victim = ranks > 2 ? 2 : 0;
+  const std::uint64_t delivered =
+      clean.per_rank[static_cast<std::size_t>(victim)].app_delivered;
+  cfg.chaos = {ft::kill_at_fraction(victim, 0.5, delivered)};
   final_token->store(-1);
   auto faulty = ft::run_job(cfg, app);
   const long long recovered = final_token->load();
@@ -95,6 +93,10 @@ int main(int argc, char** argv) {
 
   if (expected != recovered) {
     std::printf("MISMATCH: recovery changed the result!\n");
+    return 1;
+  }
+  if (faulty.total.recoveries != 1) {
+    std::printf("FAIL: the kill did not produce exactly one recovery\n");
     return 1;
   }
   std::printf("OK: recovery preserved the result (protocol piggyback: "

@@ -25,9 +25,9 @@ namespace {
 constexpr int kTagX = 1;
 constexpr int kTagY = 2;
 
-double run_once(ft::JobConfig cfg, int iters,
-                std::shared_ptr<std::atomic<double>> out) {
-  out->store(0.0);
+/// Runs the job; `*checksum` receives rank 0's reduction.
+ft::JobResult run_once(const ft::JobConfig& cfg, int iters, double* checksum) {
+  auto out = std::make_shared<std::atomic<double>>(0.0);
   auto result = ft::run_job(cfg, [iters, out](ft::Ctx& ctx) {
     const npb::Grid2D g(ctx.rank(), ctx.size());
     mp::Coll coll(ctx);
@@ -58,18 +58,18 @@ double run_once(ft::JobConfig cfg, int iters,
       if (g.north() >= 0) mp::send_value(ctx, g.north(), kTagY, cell);
       if (g.south() >= 0) south = mp::recv_value<double>(ctx, g.south(), kTagY);
       cell = 0.4 * cell + 0.15 * (west + east + north + south);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
     const double contrib[1] = {cell};
     const double total = coll.allreduce_sum(contrib)[0];
     if (ctx.rank() == 0) out->store(total);
   });
-  std::printf("  faults=%zu  checksum=%.12f  wall=%.1fms  recoveries=%llu "
+  *checksum = out->load();
+  std::printf("  kills=%zu  checksum=%.12f  wall=%.1fms  recoveries=%llu "
               "resent=%llu\n",
-              cfg.faults.size(), out->load(), result.wall_ms,
+              cfg.chaos.size(), *checksum, result.wall_ms,
               static_cast<unsigned long long>(result.total.recoveries),
               static_cast<unsigned long long>(result.total.resent_msgs));
-  return out->load();
+  return result;
 }
 
 }  // namespace
@@ -81,6 +81,12 @@ int main(int argc, char** argv) {
   const std::string proto_name = opts.str("protocol", "tdi", "tdi | tag | tel");
   opts.finish();
 
+  if (ranks < 2) {
+    std::printf("need at least 2 ranks (rank 1's deliveries trigger the "
+                "failures)\n");
+    return 2;
+  }
+
   ft::JobConfig cfg;
   cfg.n = ranks;
   cfg.protocol = proto_name == "tag"   ? ft::ProtocolKind::kTag
@@ -89,19 +95,29 @@ int main(int argc, char** argv) {
   cfg.latency = net::LatencyModel::turbulent();
   cfg.restart_delay_ms = 5;
 
-  auto out = std::make_shared<std::atomic<double>>(0.0);
-
   std::printf("baseline (no faults):\n");
-  const double expected = run_once(cfg, iters, out);
+  double expected = 0;
+  const ft::JobResult clean = run_once(cfg, iters, &expected);
 
+  // Every failure is keyed to one trigger, halfway through rank 1's
+  // failure-free deliveries; each event names its own victim.
+  const net::ChaosEvent trigger =
+      ft::kill_at_fraction(1, 0.5, clean.per_rank[1].app_delivered);
   bool ok = true;
   for (int k = 1; k <= 3 && k < ranks; ++k) {
-    std::printf("%d simultaneous failure%s at t=8ms:\n", k, k > 1 ? "s" : "");
-    cfg.faults.clear();
-    for (int i = 0; i < k; ++i) cfg.faults.push_back({i + 1, 8.0});
-    ok &= (run_once(cfg, iters, out) == expected);
+    std::printf("%d simultaneous failure%s at rank 1's delivery %llu:\n", k,
+                k > 1 ? "s" : "", static_cast<unsigned long long>(trigger.nth));
+    cfg.chaos.clear();
+    for (int i = 0; i < k; ++i) {
+      cfg.chaos.push_back(trigger);
+      cfg.chaos.back().target = i + 1;
+    }
+    double checksum = 0;
+    const ft::JobResult result = run_once(cfg, iters, &checksum);
+    ok &= checksum == expected &&
+          result.total.recoveries == static_cast<std::uint64_t>(k);
   }
   std::printf(ok ? "OK: all failure counts reproduce the baseline checksum\n"
-                 : "MISMATCH!\n");
+                 : "MISMATCH: a checksum or a recovery count is off!\n");
   return ok ? 0 : 1;
 }

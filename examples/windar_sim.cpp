@@ -1,21 +1,23 @@
 // windar_sim — full command-line driver for the recovery stack.
 //
-// Runs any built-in workload under any protocol / send mode / fault
+// Runs any built-in workload under any protocol / send mode / kill
 // schedule, prints the overhead metrics, and (optionally) records and
-// validates the causal event trace.  This is the "everything in one binary"
+// validates the causal event trace.  `--kills=rank@nth` kills a rank on its
+// nth application delivery; the run fails unless every scheduled kill
+// produced a recovery.  This is the "everything in one binary"
 // surface for experimenting beyond the canned benchmarks.
 //
 // Examples:
 //   ./windar_sim --app=lu --ranks=16 --protocol=tag
-//   ./windar_sim --app=ring --ranks=8 --faults=2@10,3@25 --trace
+//   ./windar_sim --app=ring --ranks=8 --kills=2@10,3@25 --trace
 //   ./windar_sim --app=bt --mode=blocking --ckpt-every=4 --repeat=3
 //
 // --transport=socket (or WINDAR_TRANSPORT=socket) runs the job as one real
 // OS process per rank over Unix-domain sockets: the binary re-execs itself
-// as each worker, faults become actual SIGKILLs, and recovery restores from
+// as each worker, kills become actual SIGKILLs, and recovery restores from
 // disk checkpoints (windar/launcher.h).
 //
-//   ./windar_sim --app=ring --ranks=8 --transport=socket --faults=2@10
+//   ./windar_sim --app=ring --ranks=8 --transport=socket --kills=2@10
 #include <atomic>
 #include <cstdio>
 
@@ -35,18 +37,24 @@ using namespace windar;
 
 namespace {
 
-/// Parses "rank@ms,rank@ms,..." fault schedules.
-std::vector<ft::FaultEvent> parse_faults(const std::string& s) {
-  std::vector<ft::FaultEvent> out;
+/// Parses "rank@nth,rank@nth,...": kill `rank` on its nth application
+/// delivery.  Anything else is fatal.
+std::vector<net::ChaosEvent> parse_kills(const std::string& s) {
+  std::vector<net::ChaosEvent> out;
+  if (s.empty()) return out;
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  while (pos <= s.size()) {
     auto comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
     const std::string item = s.substr(pos, comma - pos);
     const auto at = item.find('@');
-    WINDAR_CHECK(at != std::string::npos) << "fault syntax is rank@ms";
-    out.push_back({util::parse_number<int>(item.substr(0, at), "fault rank"),
-                   util::parse_number<double>(item.substr(at + 1), "fault ms")});
+    WINDAR_CHECK(at != std::string::npos)
+        << "kill syntax is rank@nth, got '" << item << "'";
+    const auto nth = util::parse_number<std::uint64_t>(item.substr(at + 1),
+                                                       "kill delivery");
+    WINDAR_CHECK_GT(nth, 0u) << "kill deliveries count from 1";
+    out.push_back(ft::kill_on_delivery(
+        util::parse_number<int>(item.substr(0, at), "kill rank"), nth));
     pos = comma + 1;
   }
   return out;
@@ -101,7 +109,7 @@ struct SimOptions {
   int rounds = 40;
   int ckpt_every = 8;
   double scale = 1.0;
-  std::string fault_spec;
+  std::vector<net::ChaosEvent> kills;
   bool trace = false;
   bool dump_trace = false;
   int repeat = 1;
@@ -128,8 +136,8 @@ SimOptions parse_sim_options(int argc, char** argv) {
   o.ckpt_every = static_cast<int>(
       opts.integer("ckpt-every", 8, "checkpoint cadence (0=off)"));
   o.scale = opts.real("scale", 1.0, "NPB iteration scale");
-  o.fault_spec =
-      opts.str("faults", "", "fault schedule, e.g. 2@10,3@25 (rank@ms)");
+  o.kills = parse_kills(opts.str(
+      "kills", "", "kill schedule, e.g. 2@10,3@25 (rank@nth delivery)"));
   o.trace = opts.flag("trace", false, "record + validate causal trace");
   o.dump_trace = opts.flag("dump-trace", false, "print the event log");
   o.repeat = static_cast<int>(opts.integer("repeat", 1, "repetitions"));
@@ -202,7 +210,7 @@ int run_socket_mode(const SimOptions& o, int argc, char** argv) {
   spec.job.protocol = o.protocol;
   spec.job.mode =
       o.blocking ? ft::SendMode::kBlocking : ft::SendMode::kNonBlocking;
-  spec.job.faults = parse_faults(o.fault_spec);
+  spec.job.chaos = o.kills;
   spec.job.logger_shards = o.logger_shards;
   // Forward the user's flags verbatim; each worker re-parses them.
   for (int i = 1; i < argc; ++i) spec.worker_args.push_back(argv[i]);
@@ -215,6 +223,11 @@ int run_socket_mode(const SimOptions& o, int argc, char** argv) {
     const ft::MultiProcResult r = ft::run_multiproc_job(spec);
     if (!r.ok) {
       std::fprintf(stderr, "windar_sim: job failed: %s\n", r.error.c_str());
+      ok = false;
+    } else if (r.recoveries != o.kills.size()) {
+      std::fprintf(stderr, "windar_sim: %llu recoveries for %zu kills\n",
+                   static_cast<unsigned long long>(r.recoveries),
+                   o.kills.size());
       ok = false;
     }
     table.row({std::to_string(rep), util::fmt_double(r.wall_ms, 1),
@@ -249,7 +262,7 @@ int main(int argc, char** argv) {
   cfg.exec_model = o.exec_model;
   cfg.exec_workers = o.exec_workers;
   cfg.logger_shards = o.logger_shards;
-  cfg.faults = parse_faults(o.fault_spec);
+  cfg.chaos = o.kills;
   ft::TraceSink sink;
   if (o.trace || o.dump_trace) cfg.trace = &sink;
 
@@ -259,11 +272,19 @@ int main(int argc, char** argv) {
   util::Table table({"run", "wall ms", "msgs", "idents/msg", "pb B/msg",
                      "pb ratio", "resyncs", "track us/msg", "ctrl msgs",
                      "recoveries", "dup", "resent"});
+  bool ok = true;
   for (int rep = 0; rep < o.repeat; ++rep) {
     cfg.seed = o.seed + static_cast<std::uint64_t>(rep);
     sink.clear();
     auto result = ft::run_job(cfg, fn);
     const ft::Metrics& m = result.total;
+    if (m.recoveries != o.kills.size()) {
+      std::fprintf(stderr,
+                   "windar_sim: run %d: %llu recoveries for %zu kills\n", rep,
+                   static_cast<unsigned long long>(m.recoveries),
+                   o.kills.size());
+      ok = false;
+    }
     const double pb_per_msg =
         m.app_sent ? static_cast<double>(m.piggyback_bytes_sent) /
                          static_cast<double>(m.app_sent)
@@ -295,5 +316,5 @@ int main(int argc, char** argv) {
   }
   table.print("windar_sim — " + o.app + " / " + to_string(cfg.protocol) +
               " / " + to_string(cfg.mode));
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 // Scripted, event-keyed fault injection for the simulated fabric.
 //
-// Wall-clock fault schedules ("kill rank 1 at t=8ms") drift whenever the
-// host is slow (TSan, CI load): the kill lands at a different protocol point
-// every run.  A ChaosEvent instead keys a fault to fabric-observable protocol
+// A wall-clock fault schedule ("kill rank 1 at t=8ms") would drift whenever
+// the host is slow (TSan, CI load): the kill would land at a different
+// protocol point every run.  A ChaosEvent instead keys a fault to
+// fabric-observable protocol
 // progress — "kill endpoint 1 when it receives its 8th application packet",
 // "kill endpoint 2 when it sends its first RESPONSE" — so a schedule
 // replays the same protocol-relative scenario regardless of host speed.
@@ -11,8 +12,7 @@
 // `kind` word, and the layer above (windar) supplies its own kind values.
 // Kill actions are not executed by the fabric itself — a fired kill is
 // reported through the FaultSchedule's kill handler so the job runtime can
-// poison the rank's Process before the endpoint dies (the same ordering the
-// wall-clock injector must respect; see runtime.cc).
+// poison the rank's Process before the endpoint dies (see runtime.cc).
 #pragma once
 
 #include <chrono>

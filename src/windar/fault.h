@@ -16,6 +16,7 @@
 //    plan generator behind the chaos soak drivers.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <vector>
@@ -34,7 +35,7 @@ struct Killed {};
 /// application error); unwinds the rank function without triggering recovery.
 struct JobAborted {};
 
-/// Shared teardown flags.  `killed` is set by the fault injector via
+/// Shared teardown flags.  `killed` is set by a fired chaos kill via
 /// Process::poison(); `aborted` is set when the transport is poisoned without
 /// a kill (job teardown).  Killed wins when both are set.
 struct LifeFlags {
@@ -56,11 +57,10 @@ struct LifeFlags {
 // Event-keyed fault schedule helpers (the windar face of net::ChaosEvent)
 // ---------------------------------------------------------------------------
 
-/// Kill `rank` when its endpoint receives its `nth` application packet —
-/// the event-keyed replacement for "kill at t ms": it lands at the same
-/// protocol-relative point however slow the host runs.  `revive_after`
-/// (fabric-wide delivered packets) > 0 holds the incarnation's restart until
-/// that much further traffic flowed.
+/// Kill `rank` when its endpoint receives its `nth` application packet: the
+/// kill lands at the same protocol-relative point however slow the host
+/// runs.  `revive_after` (fabric-wide delivered packets) > 0 holds the
+/// incarnation's restart until that much further traffic flowed.
 inline net::ChaosEvent kill_on_delivery(int rank, std::uint64_t nth,
                                         std::uint64_t revive_after = 0) {
   net::ChaosEvent ev;
@@ -71,6 +71,19 @@ inline net::ChaosEvent kill_on_delivery(int rank, std::uint64_t nth,
   ev.nth = nth;
   ev.revive_after_packets = revive_after;
   return ev;
+}
+
+/// Kill `rank` `fraction` of the way through its run: on application
+/// delivery max(1, fraction * clean_delivered), where `clean_delivered` is
+/// the rank's delivery count in a failure-free run of the same job
+/// (JobResult::per_rank[rank].app_delivered).  Every application message
+/// reaches the rank's endpoint as one packet before the rank can return, so
+/// for fraction <= 1 and clean_delivered >= 1 the kill always fires, mid-run.
+inline net::ChaosEvent kill_at_fraction(int rank, double fraction,
+                                        std::uint64_t clean_delivered) {
+  const auto nth = static_cast<std::uint64_t>(
+      fraction * static_cast<double>(clean_delivered));
+  return kill_on_delivery(rank, std::max<std::uint64_t>(1, nth));
 }
 
 /// Kill `rank` as it puts its `nth` packet of `kind` on the wire.  The

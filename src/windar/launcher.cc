@@ -268,10 +268,11 @@ int run_worker(const WorkerConfig& cfg, const WorkerFn& fn) {
 
   CheckpointStore store(cfg.dir + "/ckpt", job.ckpt_delta_anchor);
 
-  // Every kill event in a generated plan fires inside the victim's own
-  // process (kSend matches at the sender, kDeliver at the receiver), so the
-  // handler reports the fired event, flushes, and takes the SIGKILL itself —
-  // the crash lands at the exact protocol point the event names.
+  // A kill event fires inside the process hosting its matched endpoint
+  // (kSend matches at the sender, kDeliver at the receiver): the handler
+  // reports the fired event, flushes, and takes the SIGKILL itself — the
+  // crash lands at the exact protocol point the event names — unless the
+  // event targets another rank, which the launcher then kills.
   net::FaultSchedule chaos(cfg.chaos);
   if (!cfg.chaos.empty()) {
     chaos.set_kill_handler([&](const net::ChaosEvent& ev) {
@@ -507,13 +508,6 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
     }
   };
 
-  const auto sigkill_rank = [&](int r, const char* why) {
-    RankState& rk = ranks[static_cast<std::size_t>(r)];
-    if (rk.exited || rk.pid <= 0) return;
-    vlog("SIGKILL rank %d pid %d (%s)", r, static_cast<int>(rk.pid), why);
-    ::kill(rk.pid, SIGKILL);
-  };
-
   const auto broadcast = [&](std::uint16_t kind) {
     for (int r = 0; r < n; ++r) {
       ctrl.send(ctrl_packet(launcher_ep, r, kind, 0));
@@ -582,7 +576,7 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
         const std::uint64_t revive = rd.u64();
         mark_event_done(rd.str());
         if (target < 0) target = m.src;
-        if (target >= n) break;
+        WINDAR_CHECK_LT(target, n) << "KILLREQ for non-rank " << target;
         RankState& tk = ranks[static_cast<std::size_t>(target)];
         if (revive > 0) {
           // revive_after_packets counts fabric-wide deliveries, which no
@@ -591,7 +585,12 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
           tk.extra_delay_ms = std::min(50.0, static_cast<double>(revive) * 0.1);
           if (tk.pending_respawn) tk.respawn_at_ms += tk.extra_delay_ms;
         }
-        if (target != m.src) sigkill_rank(target, "chaos killreq");
+        // A kill naming another rank: the launcher delivers the SIGKILL.
+        if (target != m.src && !tk.exited && tk.pid > 0) {
+          vlog("SIGKILL rank %d pid %d (chaos killreq)", target,
+               static_cast<int>(tk.pid));
+          ::kill(tk.pid, SIGKILL);
+        }
         break;
       }
       case kBye: {
@@ -671,12 +670,6 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
   };
 
   const double t0 = util::now_ms();
-  std::vector<FaultEvent> faults = job.faults;
-  std::sort(faults.begin(), faults.end(),
-            [](const FaultEvent& a, const FaultEvent& b) {
-              return a.at_ms < b.at_ms;
-            });
-  std::size_t fault_idx = 0;
 
   for (int r = 0; r < n; ++r) spawn(r, /*recovering=*/false);
 
@@ -695,15 +688,6 @@ MultiProcResult run_multiproc_job(const LaunchSpec& spec) {
     while (m) {
       handle(*m);
       m = inbox.try_pop();
-    }
-
-    if (!failed && !alldone_sent) {
-      while (fault_idx < faults.size() &&
-             util::now_ms() - t0 >= faults[fault_idx].at_ms) {
-        const int r = faults[fault_idx].rank;
-        ++fault_idx;
-        if (r >= 0 && r < n) sigkill_rank(r, "fault schedule");
-      }
     }
 
     reap();

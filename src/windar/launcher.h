@@ -30,11 +30,13 @@
 //   BYE      worker -> launcher   final transport stats + app counters
 //
 // Event-keyed chaos in real processes: the schedule is serialized onto every
-// worker's command line and armed against its local data transport.  Every
-// generated kill event fires inside the victim's own process (kSend matches
-// at the sender, kDeliver at the receiver), so the handler reports the fired
-// event to the launcher, flushes, and SIGKILLs itself — a crash at the exact
-// protocol point the event names.  One-shot kills that already fired are left
+// worker's command line and armed against its local data transport.  A kill
+// event fires inside the process that hosts its matched endpoint (kSend
+// matches at the sender, kDeliver at the receiver): the handler reports the
+// fired event to the launcher, flushes, and SIGKILLs itself — a crash at the
+// exact protocol point the event names.  An event whose `target` names
+// another rank is an external kill: the launcher SIGKILLs the target on the
+// report.  One-shot kills that already fired are left
 // off the schedule handed to later spawns, so a fresh process does not re-arm
 // them (the in-process schedule is job-global; a per-process copy that kept
 // them would re-kill every incarnation forever).
@@ -120,8 +122,8 @@ struct LaunchSpec {
   /// Job shape, resolved once by the launcher.  Forwarded to every worker:
   /// n, protocol, mode, seed, eager_threshold, rollback_retry/cap,
   /// logger_shards, ckpt_async, ckpt_delta_anchor, replay_burst, chaos.
-  /// Used by the launcher itself: restart_delay_ms, logger_storage_delay,
-  /// faults (wall-clock SIGKILLs).  Ignored, as they cannot apply to
+  /// Used by the launcher itself: restart_delay_ms, logger_storage_delay.
+  /// Ignored, as they cannot apply to
   /// separate processes: latency (the sockets are real), fabric_shards and
   /// exec_* (no in-process fabric or scheduler), trace (a recorder spans one
   /// address space), checkpoint_spill_dir (the job directory's ckpt/ is the

@@ -24,7 +24,7 @@ struct Slot {
   std::shared_ptr<Process> proc;
   bool fn_done = false;
   // A kill that fired while this rank's Process was mid-construction (the
-  // injector sees no proc to poison): recorded here and applied by the
+  // kill handler sees no proc to poison): recorded here and applied by the
   // supervisor the moment construction finishes, so event-keyed kills can
   // land inside a recovery window without being silently dropped.
   bool pending_kill = false;          // guarded by mu
@@ -40,6 +40,12 @@ struct Slot {
 
 JobConfig resolve_job_config(JobConfig c) {
   WINDAR_CHECK_GT(c.n, 0) << "need at least one rank";
+  for (const auto& ev : c.chaos) {
+    if (ev.action != net::ChaosEvent::Action::kKill) continue;
+    const int target = ev.target >= 0 ? ev.target : ev.endpoint;
+    WINDAR_CHECK(target >= 0 && target < c.n)
+        << "chaos kill target must be a rank, got " << target;
+  }
   c.exec_model = exec::resolve_exec_model(c.exec_model);
   if (c.exec_workers <= 0) c.exec_workers = exec::Scheduler::default_workers();
   const bool uses_logger =
@@ -104,43 +110,28 @@ JobResult run_job(const JobConfig& requested, const FtRankFn& fn) {
   std::exception_ptr first_error;
   std::mutex error_mu;
 
-  // One kill path shared by the wall-clock injector and the event-keyed
-  // chaos schedule.  Poison-before-endpoint-kill ordering is load-bearing
-  // (see the injector comment below); a kill landing in the construction
-  // window is deferred to the supervisor rather than dropped.
-  auto kill_rank = [&](int rank, std::uint64_t revive_after_packets) {
-    Slot& slot = slots[static_cast<std::size_t>(rank)];
-    std::scoped_lock lock(slot.mu);
-    if (slot.fn_done) return;  // finished ranks are never killed
-    if (revive_after_packets > 0) {
-      slot.revive_at_packets.store(
-          fabric.stats().packets_delivered + revive_after_packets,
-          std::memory_order_release);
-    }
-    if (!slot.proc) {
-      slot.pending_kill = true;
-      return;
-    }
-    // Mark the process dead BEFORE poisoning its endpoint: a thread that
-    // wakes on the poisoned inbox must see killed_ == true, or it will
-    // misread the fault as job teardown (JobAborted) and skip recovery.
-    slot.proc->poison();
-    fabric.kill(rank);
-  };
-
+  // Kills fire from the fabric's send and delivery paths.  Poison-before-
+  // endpoint-kill ordering is load-bearing: a thread that wakes on the
+  // poisoned inbox must see killed_ == true, or it will misread the fault as
+  // job teardown (JobAborted) and skip recovery.  A kill landing in the
+  // construction window is deferred to the supervisor rather than dropped.
   net::FaultSchedule chaos(config.chaos);
   if (!config.chaos.empty()) {
-    for (const auto& ev : config.chaos) {
-      if (ev.action == net::ChaosEvent::Action::kKill) {
-        const int target = ev.target >= 0 ? ev.target : ev.endpoint;
-        WINDAR_CHECK(target >= 0 && target < config.n)
-            << "chaos kill target must be a rank, got " << target;
-      }
-    }
     chaos.set_kill_handler([&](const net::ChaosEvent& ev) {
-      WINDAR_CHECK(ev.target >= 0 && ev.target < config.n)
-          << "chaos kill fired for non-rank endpoint " << ev.target;
-      kill_rank(ev.target, ev.revive_after_packets);
+      Slot& slot = slots[static_cast<std::size_t>(ev.target)];
+      std::scoped_lock lock(slot.mu);
+      if (slot.fn_done) return;  // finished ranks are never killed
+      if (ev.revive_after_packets > 0) {
+        slot.revive_at_packets.store(
+            fabric.stats().packets_delivered + ev.revive_after_packets,
+            std::memory_order_release);
+      }
+      if (!slot.proc) {
+        slot.pending_kill = true;
+        return;
+      }
+      slot.proc->poison();
+      fabric.kill(ev.target);
     });
     fabric.set_chaos(&chaos);
   }
@@ -194,9 +185,9 @@ JobResult run_job(const JobConfig& requested, const FtRankFn& fn) {
         // drop harmlessly) and the check below throws the pending Killed.
         proc->drain_checkpoints();
         {
-          // fn_done flips under slot.mu so the injector's check-and-kill is
-          // atomic against completion: a finished rank is never killed.  A
-          // kill that landed after the function's last engine call (so
+          // fn_done flips under slot.mu so the kill handler's check-and-kill
+          // is atomic against completion: a finished rank is never killed.
+          // A kill that landed after the function's last engine call (so
           // nothing inside it threw) is recovered like any other: counting
           // this incarnation done would let the peers finish and leave
           // while the next incarnation still needs their resends.
@@ -285,9 +276,8 @@ JobResult run_job(const JobConfig& requested, const FtRankFn& fn) {
   const double t0 = util::now_ms();
 
   // Supervisors: OS threads in the seed model, cooperative tasks on a fixed
-  // worker pool under kCoop.  The injector and watchdog below stay plain
-  // threads in both modes — they only poke atomics, locks, and WaitSets,
-  // all of which are fiber-wakeup-safe from foreign threads.
+  // worker pool under kCoop.  The watchdog below stays a plain thread in
+  // both modes — it only reads atomics under the slot locks.
   const bool coop = config.exec_model == exec::ExecModel::kCoop;
   std::optional<exec::Scheduler> sched;
   std::vector<std::thread> threads;
@@ -337,31 +327,11 @@ JobResult run_job(const JobConfig& requested, const FtRankFn& fn) {
     });
   }
 
-  // Fault injector: walks the (time-sorted) schedule on its own thread.
-  std::thread injector([&] {
-    auto events = config.faults;
-    std::sort(events.begin(), events.end(),
-              [](const FaultEvent& a, const FaultEvent& b) {
-                return a.at_ms < b.at_ms;
-              });
-    for (const FaultEvent& ev : events) {
-      WINDAR_CHECK(ev.rank >= 0 && ev.rank < config.n)
-          << "fault event for bad rank " << ev.rank;
-      while (util::now_ms() - t0 < ev.at_ms) {
-        if (all_done.load(std::memory_order_acquire)) return;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      kill_rank(ev.rank, 0);
-    }
-  });
-
   if (coop) {
     sched->join_all();
   } else {
     for (auto& t : threads) t.join();
   }
-  all_done.store(true, std::memory_order_release);
-  injector.join();
   watchdog_stop.store(true, std::memory_order_release);
   if (watchdog.joinable()) watchdog.join();
   const double t1 = util::now_ms();

@@ -2,9 +2,9 @@
 //
 // run_job spawns one supervisor thread per rank.  The supervisor constructs
 // the rank's Process (fresh, or recovering from the last checkpoint), runs
-// the application function, and — when the fault injector poisons the rank —
-// catches Killed, waits the restart delay (a spare node taking over), and
-// relaunches an incarnation.  Ranks that finish park their Process to keep
+// the application function, and — when a chaos kill (JobConfig::chaos)
+// poisons the rank — catches Killed, waits the restart delay (a spare node
+// taking over), and relaunches an incarnation.  Ranks that finish park their Process to keep
 // serving ROLLBACK/RESPONSE traffic until every rank is done, so a late
 // recovery can still pull logged messages from completed peers.
 #pragma once
@@ -26,20 +26,6 @@
 #include "windar/wire.h"
 
 namespace windar::ft {
-
-/// Kill `rank` this many milliseconds after job start.  Events on the same
-/// rank repeat (the incarnation is killed again); events at the same time on
-/// different ranks model simultaneous failures (paper §III.D, Fig. 2).
-///
-/// Wall-clock events drift with host speed (a TSan run hits a different
-/// protocol point than a release run); prefer the event-keyed `chaos`
-/// schedule below for tests that must land at a protocol-relative point.
-struct FaultEvent {
-  int rank = 0;
-  double at_ms = 0;
-
-  bool operator==(const FaultEvent&) const = default;
-};
 
 /// One job's whole configuration, whichever runtime runs it.  The fields
 /// marked "0 resolves" / "-1 resolves" are sentinels that
@@ -66,12 +52,14 @@ struct JobConfig {
   // exec_workers = 0 resolves exec::Scheduler::default_workers().
   exec::ExecModel exec_model = exec::ExecModel::kAuto;
   int exec_workers = 0;
-  std::vector<FaultEvent> faults;
-  // Event-keyed fault schedule (see fault.h helpers: kill_on_delivery,
-  // kill_on_send, duplicate_on_send, delay_on_send).  Kill events whose
-  // endpoint is a rank go through the same poison-then-kill path as
-  // `faults`; a kill landing while the rank's incarnation is still being
-  // constructed is deferred and applied the moment construction finishes.
+  // The job's fault schedule, keyed to protocol events rather than wall
+  // time (see fault.h helpers: kill_on_delivery, kill_on_send,
+  // duplicate_on_send, delay_on_send).  Every kill must target a rank:
+  // resolve_job_config rejects any other.  Several kills keyed on one
+  // trigger, each with its own `target`, fail ranks simultaneously.  A kill
+  // landing while the rank's incarnation is still being constructed is
+  // deferred and applied the moment construction finishes; a kill landing
+  // after the rank's function returned is skipped.
   std::vector<net::ChaosEvent> chaos;
   double restart_delay_ms = 10;  // failure detection + spare-node takeover
   // ROLLBACK re-broadcast pacing: first retry after `rollback_retry`, then
@@ -103,7 +91,8 @@ struct JobConfig {
 
 /// `config` with every sentinel resolved: exec_model, exec_workers,
 /// fabric_shards, logger_shards, ckpt_async and ckpt_delta_anchor come back
-/// concrete.  Idempotent.
+/// concrete.  Aborts on a chaos kill whose target is not a rank.
+/// Idempotent.
 JobConfig resolve_job_config(JobConfig config);
 
 /// The engine parameters of `rank`'s `incarnation` in a job configured by
@@ -171,8 +160,8 @@ class Ctx final : public mp::Comm {
 
 using FtRankFn = std::function<void(Ctx&)>;
 
-/// Runs the job to completion (all ranks' functions returned, every injected
-/// fault recovered).  Rethrows the first application exception, if any.
+/// Runs the job to completion (all ranks' functions returned, every fired
+/// kill recovered).  Rethrows the first application exception, if any.
 JobResult run_job(const JobConfig& config, const FtRankFn& fn);
 
 }  // namespace windar::ft

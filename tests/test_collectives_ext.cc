@@ -111,8 +111,10 @@ TEST(CollExtFt, AllWorkOnRecoveryLayerWithFault) {
   cfg.protocol = ft::ProtocolKind::kTdi;
   cfg.latency = net::LatencyModel::turbulent();
   cfg.restart_delay_ms = 4;
-  cfg.faults = {{2, 5.0}};
-  ft::run_job(cfg, [](ft::Ctx& ctx) {
+  // Rank 2 receives four packets per round (48 in all): its 40th lands in
+  // round 10, past the round-8 checkpoint.
+  cfg.chaos = {ft::kill_on_delivery(2, 40)};
+  const ft::JobResult result = ft::run_job(cfg, [](ft::Ctx& ctx) {
     Coll coll(ctx);
     int start = 0;
     if (ctx.restored()) {
@@ -134,9 +136,9 @@ TEST(CollExtFt, AllWorkOnRecoveryLayerWithFault) {
       }
       auto total = coll.allreduce(mine, Coll::Op::kMax);
       ASSERT_DOUBLE_EQ(total[0], 3.0 + round);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
   });
+  EXPECT_EQ(result.total.recoveries, 1u);
 }
 
 }  // namespace

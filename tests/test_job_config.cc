@@ -110,6 +110,27 @@ TEST(ResolveJobConfig, RunJobEchoesTheResolvedConfig) {
   EXPECT_EQ(result.config, resolve_job_config(cfg));
 }
 
+TEST(ResolveJobConfigDeathTest, KillTargetMustBeARank) {
+  // Both runtimes resolve through here, so a kill that could never land on
+  // a rank aborts up front in either one instead of being ignored.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  net::ChaosEvent external = kill_on_delivery(0, 1);
+  external.target = 7;
+  net::ChaosEvent any_endpoint = kill_on_delivery(0, 1);
+  any_endpoint.endpoint = -1;
+  JobConfig cfg;
+  cfg.n = 2;
+  for (const net::ChaosEvent& bad :
+       {kill_on_delivery(7, 1), external, any_endpoint}) {
+    cfg.chaos = {bad};
+    EXPECT_DEATH(resolve_job_config(cfg), "chaos kill target must be a rank");
+  }
+  external.target = 1;
+  cfg.chaos = {kill_on_delivery(1, 1), external,
+               duplicate_on_send(-1, Kind::kRollback)};
+  EXPECT_EQ(resolve_job_config(cfg).chaos, cfg.chaos);
+}
+
 TEST(WorkerFlags, EveryForwardedFieldRoundTrips) {
   // Every JobConfig field that reaches ProcessParams or CheckpointStore in
   // process, set away from its default.

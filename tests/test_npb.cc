@@ -31,9 +31,9 @@ double run_raw_checksum(App app, int n, std::uint64_t seed) {
 }
 
 double run_ft_checksum(App app, int n, ft::ProtocolKind proto,
-                       ft::SendMode mode, std::vector<ft::FaultEvent> faults,
+                       ft::SendMode mode, std::vector<net::ChaosEvent> chaos,
                        std::uint64_t seed,
-                       std::uint64_t* recoveries_out = nullptr) {
+                       ft::JobResult* result_out = nullptr) {
   Params p = tiny(app);
   ft::JobConfig cfg;
   cfg.n = n;
@@ -41,14 +41,14 @@ double run_ft_checksum(App app, int n, ft::ProtocolKind proto,
   cfg.mode = mode;
   cfg.latency = net::LatencyModel::turbulent();
   cfg.seed = seed;
-  cfg.faults = std::move(faults);
+  cfg.chaos = std::move(chaos);
   cfg.restart_delay_ms = 5;
   auto sum = std::make_shared<std::atomic<double>>(0.0);
   auto result = ft::run_job(cfg, [&](ft::Ctx& ctx) {
     const double cs = run_app(ctx, p, &ctx);
     if (ctx.rank() == 0) sum->store(cs);
   });
-  if (recoveries_out) *recoveries_out = result.total.recoveries;
+  if (result_out) *result_out = result;
   return sum->load();
 }
 
@@ -82,17 +82,20 @@ TEST_P(NpbApps, BlockingModeSameChecksum) {
 TEST_P(NpbApps, RecoversFromMidRunFault) {
   const App app = GetParam();
   const double expected = run_raw_checksum(app, 4, 1);
-  // The scaled apps take ~10-20 ms; try successively earlier fault times
-  // until one actually lands mid-run, so the test cannot pass vacuously.
-  std::uint64_t recoveries = 0;
-  for (double at_ms : {4.0, 2.0, 1.0, 0.5}) {
-    const double got = run_ft_checksum(app, 4, ft::ProtocolKind::kTdi,
-                                       ft::SendMode::kNonBlocking,
-                                       {{2, at_ms}}, 7, &recoveries);
-    ASSERT_EQ(expected, got) << "fault at " << at_ms << "ms";
-    if (recoveries >= 1) break;
-  }
-  EXPECT_GE(recoveries, 1u);
+  // Kill rank 2 halfway through its failure-free deliveries: the kill
+  // always lands mid-run, however fast the host.
+  ft::JobResult clean;
+  ASSERT_EQ(expected, run_ft_checksum(app, 4, ft::ProtocolKind::kTdi,
+                                      ft::SendMode::kNonBlocking, {}, 7,
+                                      &clean));
+  const net::ChaosEvent kill =
+      ft::kill_at_fraction(2, 0.5, clean.per_rank[2].app_delivered);
+  ft::JobResult faulted;
+  EXPECT_EQ(expected, run_ft_checksum(app, 4, ft::ProtocolKind::kTdi,
+                                      ft::SendMode::kNonBlocking, {kill}, 7,
+                                      &faulted))
+      << "kill at delivery " << kill.nth;
+  EXPECT_EQ(faulted.total.recoveries, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, NpbApps,

@@ -10,6 +10,8 @@
 //   P4  holds for every protocol and both send paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mp/comm.h"
 #include "rank_results.h"
 #include "util/rng.h"
@@ -70,15 +72,15 @@ struct RandomWorkload {
         fold += recv_value<std::uint64_t>(ctx, mp::kAnySource, s);
       }
       digest = digest * 0x100000001B3ull + fold + static_cast<std::uint64_t>(s);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     return digest;
   }
 };
 
 std::uint64_t job_outcome(const RandomWorkload& wl, ProtocolKind proto,
-                          SendMode mode, std::vector<FaultEvent> faults,
-                          std::uint64_t net_seed, Metrics* metrics = nullptr) {
+                          SendMode mode, std::vector<net::ChaosEvent> chaos,
+                          std::uint64_t net_seed,
+                          JobResult* result_out = nullptr) {
   // Every property job also records its causal trace and must pass the
   // offline invariant validator (FIFO, continuity, gate, order).
   TraceSink sink;
@@ -88,14 +90,14 @@ std::uint64_t job_outcome(const RandomWorkload& wl, ProtocolKind proto,
   cfg.mode = mode;
   cfg.latency = net::LatencyModel::turbulent();
   cfg.seed = net_seed;
-  cfg.faults = std::move(faults);
+  cfg.chaos = std::move(chaos);
   cfg.restart_delay_ms = 3;
   cfg.trace = &sink;
   auto results = std::make_shared<RankResults<std::uint64_t>>(cfg.n);
   auto result = run_job(cfg, [&wl, results](Ctx& ctx) {
     results->set(ctx.rank(), wl.run(ctx) % 0xFFFFFFFFFFFFull);
   });
-  if (metrics) *metrics = result.total;
+  if (result_out) *result_out = result;
   const auto verdict = validate_trace(sink.snapshot(), cfg.n);
   EXPECT_TRUE(verdict.ok()) << "trace: " << verdict.violations.size()
                             << " violations, first: "
@@ -119,25 +121,36 @@ TEST_P(PropertySweep, FaultedOutcomeEqualsCleanOutcome) {
   const SendMode mode = rng.next_below(2) ? SendMode::kBlocking
                                           : SendMode::kNonBlocking;
 
+  JobResult clean_run;
   const std::uint64_t clean =
-      job_outcome(wl, proto, mode, {}, rng.next_u64());
+      job_outcome(wl, proto, mode, {}, rng.next_u64(), &clean_run);
 
-  // Random fault schedule: 1-2 faults on random ranks, early in the run.
-  std::vector<FaultEvent> faults;
+  // Random fault schedule: 1-2 kills of random ranks, each at a random one
+  // of the victim's failure-free deliveries, so every kill lands mid-run.
+  // Two kills keyed to the same delivery of the same rank are one failure.
+  std::vector<net::ChaosEvent> kills;
   const int nfaults = 1 + static_cast<int>(rng.next_below(2));
   for (int i = 0; i < nfaults; ++i) {
-    faults.push_back({static_cast<int>(rng.next_below(
-                          static_cast<std::uint64_t>(wl.n))),
-                      2.0 + static_cast<double>(rng.next_below(15))});
+    const int rank =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(wl.n)));
+    const std::uint64_t delivered =
+        clean_run.per_rank[static_cast<std::size_t>(rank)].app_delivered;
+    ASSERT_GT(delivered, 0u) << "rank " << rank << " receives nothing";
+    const net::ChaosEvent kill =
+        kill_on_delivery(rank, 1 + rng.next_below(delivered));
+    if (std::find(kills.begin(), kills.end(), kill) == kills.end()) {
+      kills.push_back(kill);
+    }
   }
 
-  Metrics metrics;
+  JobResult faulted_run;
   const std::uint64_t faulted =
-      job_outcome(wl, proto, mode, faults, rng.next_u64(), &metrics);
+      job_outcome(wl, proto, mode, kills, rng.next_u64(), &faulted_run);
 
   EXPECT_EQ(clean, faulted)
       << "protocol=" << to_string(proto) << " mode=" << to_string(mode)
-      << " n=" << wl.n << " steps=" << wl.steps << " faults=" << nfaults;
+      << " n=" << wl.n << " steps=" << wl.steps << " kills=" << kills.size();
+  EXPECT_EQ(faulted_run.total.recoveries, kills.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -162,8 +175,9 @@ TEST(Property, DeliveryConservationFailureFree) {
   wl.topology_seed = 999;
   for (auto proto : {ProtocolKind::kTdi, ProtocolKind::kTag,
                      ProtocolKind::kTel}) {
-    Metrics metrics;
-    (void)job_outcome(wl, proto, SendMode::kNonBlocking, {}, 5, &metrics);
+    JobResult result;
+    (void)job_outcome(wl, proto, SendMode::kNonBlocking, {}, 5, &result);
+    const Metrics& metrics = result.total;
     EXPECT_EQ(metrics.app_delivered, metrics.app_sent) << to_string(proto);
     EXPECT_EQ(metrics.dup_dropped, 0u) << to_string(proto);
     EXPECT_EQ(metrics.suppressed_sends, 0u) << to_string(proto);
@@ -176,10 +190,11 @@ TEST(Property, TdiPiggybackInvariantUnderFaults) {
   wl.n = 5;
   wl.steps = 30;
   wl.topology_seed = 7;
-  Metrics metrics;
+  JobResult result;
   (void)job_outcome(wl, ProtocolKind::kTdi, SendMode::kNonBlocking,
-                    {{1, 4.0}}, 11, &metrics);
-  EXPECT_DOUBLE_EQ(metrics.avg_piggyback_idents(), 5.0);
+                    {kill_on_delivery(1, 5)}, 11, &result);
+  EXPECT_EQ(result.total.recoveries, 1u);
+  EXPECT_DOUBLE_EQ(result.total.avg_piggyback_idents(), 5.0);
 }
 
 }  // namespace

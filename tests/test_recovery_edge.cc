@@ -31,8 +31,10 @@ TEST(RecoveryEdge, FaultDuringAllreduceSeries) {
   // must not change any reduction result.
   auto sums = std::make_shared<std::atomic<long long>>(0);
   JobConfig cfg = base(5);
-  cfg.faults = {{0, 6.0}};
-  run_job(cfg, [sums](Ctx& ctx) {
+  // The root receives two packets per round (50 in all): its 30th lands in
+  // round 15, past the round-8 checkpoint.
+  cfg.chaos = {kill_on_delivery(0, 30)};
+  const JobResult result = run_job(cfg, [sums](Ctx& ctx) {
     mp::Coll coll(ctx);
     int start = 0;
     if (ctx.restored()) {
@@ -53,13 +55,13 @@ TEST(RecoveryEdge, FaultDuringAllreduceSeries) {
       // n*(n-1)/2 + n*round for n = 5
       EXPECT_DOUBLE_EQ(total[0], 10.0 + 5.0 * round) << "round " << round;
       acc += static_cast<long long>(total[0]);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
     if (ctx.rank() == 1) sums->store(acc);
   });
   long long expect = 0;
   for (int round = 0; round < 25; ++round) expect += 10 + 5 * round;
   EXPECT_EQ(sums->load(), expect);
+  EXPECT_EQ(result.total.recoveries, 1u);
 }
 
 TEST(RecoveryEdge, KillAfterLastEngineCallStillRecovers) {
@@ -113,7 +115,7 @@ TEST(RecoveryEdge, BlockedSenderSurvivesReceiverDeath) {
   // resend must eventually complete the send.
   JobConfig cfg = base(2, ProtocolKind::kTdi, SendMode::kBlocking);
   cfg.eager_threshold = 256;        // force rendezvous
-  cfg.faults = {{1, 6.0}};
+  cfg.chaos = {kill_on_delivery(1, 3)};
   auto result = run_job(cfg, [](Ctx& ctx) {
     std::vector<std::uint8_t> big(32 * 1024, 0xAA);
     if (ctx.rank() == 0) {
@@ -134,9 +136,9 @@ TEST(RecoveryEdge, TelGathersStableDeterminantsFromLogger) {
   // Build a long delivery history, give the logger time to absorb it, then
   // kill the rank: the replay table must come (mostly) from the TelQuery.
   JobConfig cfg = base(3, ProtocolKind::kTel);
-  cfg.faults = {{0, 10.0}};
+  cfg.chaos = {kill_on_delivery(0, 60)};  // iteration 30 of 40
   auto out = std::make_shared<std::atomic<long long>>(0);
-  run_job(cfg, [out](Ctx& ctx) {
+  const JobResult result = run_job(cfg, [out](Ctx& ctx) {
     if (ctx.rank() == 0) {
       long long acc = 0;
       int start = 0;
@@ -168,6 +170,7 @@ TEST(RecoveryEdge, TelGathersStableDeterminantsFromLogger) {
   long long expect = 0;
   for (int i = 0; i < 40; ++i) expect += 100 + i + 200 + i;
   EXPECT_EQ(out->load(), expect);
+  EXPECT_EQ(result.total.recoveries, 1u);
 }
 
 TEST(RecoveryEdge, ZeroEagerThresholdStillCompletes) {
@@ -191,11 +194,12 @@ TEST(RecoveryEdge, FaultStormAllProtocols) {
   // Three staggered faults on three different ranks.
   for (auto proto : {ProtocolKind::kTdi, ProtocolKind::kTag,
                      ProtocolKind::kTel}) {
-    auto run = [&](std::vector<FaultEvent> faults) {
+    std::uint64_t recoveries = 0;
+    auto run = [&](std::vector<net::ChaosEvent> chaos) {
       JobConfig cfg = base(4, proto);
-      cfg.faults = std::move(faults);
+      cfg.chaos = std::move(chaos);
       auto digests = std::make_shared<RankResults<std::uint64_t>>(cfg.n);
-      run_job(cfg, [digests](Ctx& ctx) {
+      recoveries = run_job(cfg, [digests](Ctx& ctx) {
         const int n = ctx.size();
         std::uint64_t h = 7 + static_cast<std::uint64_t>(ctx.rank());
         int start = 0;
@@ -213,15 +217,18 @@ TEST(RecoveryEdge, FaultStormAllProtocols) {
           }
           send_value(ctx, (ctx.rank() + 1) % n, 0, h);
           h = h * 31 + recv_value<std::uint64_t>(ctx, (ctx.rank() + n - 1) % n, 0);
-          std::this_thread::sleep_for(std::chrono::microseconds(300));
         }
         digests->set(ctx.rank(), h % 1000003);
-      });
+      }).total.recoveries;
       return digests->sum();
     };
     const std::uint64_t clean = run({});
-    const std::uint64_t faulted = run({{1, 5.0}, {3, 9.0}, {2, 14.0}});
+    // One ring delivery per rank per iteration: iterations 8, 16 and 26.
+    const std::uint64_t faulted =
+        run({kill_on_delivery(1, 8), kill_on_delivery(3, 16),
+             kill_on_delivery(2, 26)});
     EXPECT_EQ(clean, faulted) << to_string(proto);
+    EXPECT_EQ(recoveries, 3u) << to_string(proto);
   }
 }
 

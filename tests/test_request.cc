@@ -91,7 +91,7 @@ TEST(Request, OverlapComputeWithHaloExchange) {
   cfg.n = 2;
   cfg.latency = net::LatencyModel::turbulent();
   cfg.restart_delay_ms = 4;
-  cfg.faults = {{1, 5.0}};
+  cfg.chaos = {ft::kill_on_delivery(1, 15)};  // iteration 15 of 30
   auto result = ft::run_job(cfg, [](ft::Ctx& ctx) {
     const int peer = 1 - ctx.rank();
     double acc = 0;
@@ -114,7 +114,6 @@ TEST(Request, OverlapComputeWithHaloExchange) {
       volatile double sink = 0;
       for (int k = 0; k < 1000; ++k) sink = sink + k * 1e-9;
       acc += util::from_bytes<double>(req.wait().payload);
-      util::coop_sleep_for(std::chrono::microseconds(300));
     }
     // Identical on both ranks' trajectories regardless of the fault.
     double expect = 0;

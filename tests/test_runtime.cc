@@ -1,10 +1,11 @@
-// Runtime-level tests: fault injector semantics, restart policy, result
+// Runtime-level tests: chaos kill semantics, restart policy, result
 // aggregation, and configuration validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "mp/comm.h"
+#include "util/wait.h"
 #include "windar/runtime.h"
 
 namespace windar::ft {
@@ -22,19 +23,35 @@ JobConfig base(int n) {
 }
 
 TEST(Runtime, FaultAfterCompletionIsSkipped) {
-  // The injector must never kill a rank whose function already returned.
+  // A kill must never land on a rank whose function already returned.  Rank
+  // 1 returns on its only receive; rank 0 then sends a farewell that no one
+  // receives, and its delivery fires the kill of rank 1.
   JobConfig cfg = base(2);
-  cfg.faults = {{0, 50.0}, {1, 60.0}};  // far beyond the job's lifetime
+  cfg.latency = net::LatencyModel::deterministic();
+  cfg.chaos = {kill_on_delivery(1, 2)};
   auto result = run_job(cfg, [](Ctx& ctx) {
-    if (ctx.rank() == 0) send_value(ctx, 1, 0, 1);
-    else (void)ctx.recv();
+    if (ctx.rank() == 0) {
+      send_value(ctx, 1, 0, 1);
+      // Let rank 1 return before the farewell reaches it, then let the
+      // farewell land before the job ends.
+      util::coop_sleep_for(std::chrono::milliseconds(50));
+      send_value(ctx, 1, 1, -1);
+      util::coop_sleep_for(std::chrono::milliseconds(20));
+    } else {
+      (void)ctx.recv(0, 0);
+    }
   });
+  EXPECT_EQ(result.chaos_triggers_fired, 1u);
   EXPECT_EQ(result.total.recoveries, 0u);
 }
 
 TEST(Runtime, RepeatedFaultsProduceOneRecoveryEach) {
+  // Three kills of rank 1 at its 10th, 25th and 40th delivered packets
+  // (fabric-wide, so re-deliveries after a rollback count too): each lands
+  // within the 60 exchanges and produces exactly one recovery.
   JobConfig cfg = base(2);
-  cfg.faults = {{1, 4.0}, {1, 12.0}, {1, 20.0}};
+  cfg.chaos = {kill_on_delivery(1, 10), kill_on_delivery(1, 25),
+               kill_on_delivery(1, 40)};
   auto result = run_job(cfg, [](Ctx& ctx) {
     const int peer = 1 - ctx.rank();
     int start = 0;
@@ -52,13 +69,9 @@ TEST(Runtime, RepeatedFaultsProduceOneRecoveryEach) {
       }
       send_value(ctx, peer, 0, i);
       (void)recv_value<int>(ctx, peer, 0);
-      std::this_thread::sleep_for(std::chrono::microseconds(400));
     }
   });
-  // Every fault that fired produced exactly one recovery; late ones may be
-  // skipped if the job finished first.
-  EXPECT_GE(result.total.recoveries, 1u);
-  EXPECT_LE(result.total.recoveries, 3u);
+  EXPECT_EQ(result.total.recoveries, 3u);
 }
 
 TEST(Runtime, PerRankMetricsSumToTotal) {
@@ -107,7 +120,7 @@ TEST(Runtime, CheckpointStoreStatsFlow) {
 
 TEST(Runtime, RestartFromScratchWithoutCheckpoint) {
   JobConfig cfg = base(2);
-  cfg.faults = {{1, 3.0}};
+  cfg.chaos = {kill_on_delivery(1, 8)};
   auto done = std::make_shared<std::atomic<int>>(0);
   auto result = run_job(cfg, [done](Ctx& ctx) {
     EXPECT_FALSE(ctx.restored().has_value());  // never checkpointed
@@ -115,25 +128,13 @@ TEST(Runtime, RestartFromScratchWithoutCheckpoint) {
     for (int i = 0; i < 15; ++i) {
       send_value(ctx, peer, 0, i);
       (void)recv_value<int>(ctx, peer, 0);
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
     done->fetch_add(1);
   });
-  // Both logical ranks completed; a killed first attempt never increments,
-  // and a kill in the tiny window between increment and return legitimately
-  // re-runs the function, so 3 is possible.
-  EXPECT_GE(done->load(), 2);
-  EXPECT_LE(done->load(), 2 + static_cast<int>(result.total.recoveries));
-}
-
-TEST(Runtime, BadFaultRankAborts) {
-  JobConfig cfg = base(2);
-  cfg.faults = {{7, 1.0}};
-  EXPECT_DEATH((void)run_job(cfg, [](Ctx& ctx) {
-                 std::this_thread::sleep_for(std::chrono::milliseconds(10));
-                 (void)ctx;
-               }),
-               "bad rank");
+  // The kill lands at rank 1's 8th of 15 receives: its first attempt never
+  // increments, and both logical ranks complete exactly once.
+  EXPECT_EQ(result.total.recoveries, 1u);
+  EXPECT_EQ(done->load(), 2);
 }
 
 TEST(Runtime, RecvFromBadRankAborts) {

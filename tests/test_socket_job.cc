@@ -13,12 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 
 #include "chaos_app.h"
 #include "util/parse.h"
-#include "util/wait.h"
 #include "windar/launcher.h"
 
 namespace windar::ft {
@@ -76,13 +74,14 @@ TEST(SocketJob, CleanJobFabricStatsBalance) {
   EXPECT_GT(r.app_sent, 0u);
 }
 
-TEST(SocketJob, WallClockSigkillConverges) {
-  // Rank 0 holds its first send for 200 ms, so no rank can finish the ring
-  // before then and the 10 ms SIGKILL of rank 1 always lands mid-job (a
-  // 12-iteration ring alone can finish before the kill fires).
+TEST(SocketJob, ExternalSigkillConverges) {
+  // Rank 2's 5th app delivery names rank 1 as the victim: rank 2 reports
+  // the kill and the launcher SIGKILLs rank 1 from outside, wherever that
+  // process happens to be in the ring.
   LaunchSpec spec = base_spec(4, ProtocolKind::kTdi);
-  spec.worker_args.push_back("--hold-ms=200");
-  spec.job.faults = {{1, 10.0}};
+  net::ChaosEvent ev = kill_on_delivery(2, 5);
+  ev.target = 1;
+  spec.job.chaos = {ev};
   const MultiProcResult r = run_multiproc_job(spec);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.digest, sim_digest(4, ProtocolKind::kTdi));
@@ -159,7 +158,6 @@ int main(int argc, char** argv) {
         windar::ft::WorkerConfig::parse(argc, argv);
     int iters = 12;
     int ckpt = 4;
-    int hold_ms = 0;  // rank 0 sleeps this long before the ring starts
     for (const std::string& a : cfg.app_args) {
       using windar::util::parse_number;
       if (a.rfind("--iters=", 0) == 0) {
@@ -168,17 +166,10 @@ int main(int argc, char** argv) {
       if (a.rfind("--ckpt=", 0) == 0) {
         ckpt = parse_number<int>(a.substr(7), "--ckpt");
       }
-      if (a.rfind("--hold-ms=", 0) == 0) {
-        hold_ms = parse_number<int>(a.substr(10), "--hold-ms");
-      }
     }
-    return windar::ft::run_worker(
-        cfg, [iters, ckpt, hold_ms](windar::ft::Ctx& ctx) {
-          if (ctx.rank() == 0 && hold_ms > 0) {
-            windar::util::coop_sleep_for(std::chrono::milliseconds(hold_ms));
-          }
-          return windar::ft::chaos::ring_digest_rank(ctx, iters, ckpt);
-        });
+    return windar::ft::run_worker(cfg, [iters, ckpt](windar::ft::Ctx& ctx) {
+      return windar::ft::chaos::ring_digest_rank(ctx, iters, ckpt);
+    });
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -125,8 +125,11 @@ TEST_P(TracedJobs, FaultyJobTraceValidates) {
   cfg.latency = net::LatencyModel::turbulent();
   cfg.restart_delay_ms = 4;
   cfg.trace = &sink;
-  cfg.faults = {{1, 6.0}, {2, 6.0}};  // simultaneous pair failure
-  run_job(cfg, [](Ctx& ctx) {
+  // Simultaneous pair failure: rank 1's 12th delivery kills ranks 1 and 2.
+  net::ChaosEvent partner = kill_on_delivery(1, 12);
+  partner.target = 2;
+  cfg.chaos = {kill_on_delivery(1, 12), partner};
+  const JobResult result = run_job(cfg, [](Ctx& ctx) {
     const int n = ctx.size();
     int start = 0;
     if (ctx.restored()) {
@@ -141,9 +144,9 @@ TEST_P(TracedJobs, FaultyJobTraceValidates) {
       }
       send_value(ctx, (ctx.rank() + 1) % n, 0, i);
       (void)recv_value<int>(ctx, (ctx.rank() + n - 1) % n, 0);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
   });
+  EXPECT_EQ(result.total.recoveries, 2u);
   const auto verdict = validate_trace(sink.snapshot(), cfg.n);
   EXPECT_TRUE(verdict.ok())
       << verdict.violations[0] << " (of " << verdict.violations.size() << ")";
